@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet lint test race bench bench-json bench-diff profile fuzz cover serve-smoke serve-bench ci
+.PHONY: all build vet lint replay-deps test race bench bench-json bench-diff profile fuzz cover serve-smoke serve-bench ci
 
 all: build vet lint test
 
@@ -18,13 +18,28 @@ lint:
 test:
 	$(GO) test ./...
 
+# replay-deps fails if any package of this module other than
+# internal/replay itself — tests included — depends on internal/replay.
+# The replay layer stays in the tree only for the benchmark's probes
+# (dpbpbench is a separate module, outside ./...).
+REPLAY_PKG = dpbp/internal/replay
+replay-deps:
+	@roots=$$($(GO) list ./... | grep -vx '$(REPLAY_PKG)') || exit 1; \
+	if $(GO) list -deps -test $$roots | grep -qx '$(REPLAY_PKG)'; then \
+		echo "ERROR: packages depending on $(REPLAY_PKG):"; \
+		$(GO) list -test -f '{{.ImportPath}}: {{join .Deps " "}}' $$roots | \
+			grep -E ' $(REPLAY_PKG)( |$$)' | cut -d: -f1; \
+		exit 1; \
+	fi; \
+	echo "replay-deps ok: no package outside dpbpbench depends on $(REPLAY_PKG)"
+
 # race covers the packages where concurrency lives (the scheduler, the
-# experiment fan-out, the timing core — SMT suites included — the
-# shared replay tapes, and the dpbpd sweep server) plus the
-# root-package determinism regression tests, which drive the fan-out
-# end to end, and the oracle's SMT differential wall.
+# experiment fan-out, the timing core — SMT suites included — and the
+# dpbpd sweep server) plus the root-package determinism regression
+# tests, which drive the fan-out end to end, and the oracle's SMT
+# differential wall.
 race:
-	$(GO) test -race ./internal/sched/... ./internal/exp/... ./internal/cpu/... ./internal/replay/... ./internal/serve/...
+	$(GO) test -race ./internal/sched/... ./internal/exp/... ./internal/cpu/... ./internal/serve/...
 	$(GO) test -race -run Determinism .
 	$(GO) test -race -run SMT ./internal/oracle ./cmd/dpbp
 
@@ -88,4 +103,4 @@ SERVE_BENCH_OUT ?= BENCH_pr9_serve.json
 serve-bench:
 	$(GO) run ./cmd/dpbpd -swarm 20 -requests 3 -workers 4 -queue 16 -out $(SERVE_BENCH_OUT)
 
-ci: build vet lint test race serve-smoke
+ci: build vet lint replay-deps test race serve-smoke

@@ -27,9 +27,9 @@ func TestWarmTimingRunAllocs(t *testing.T) {
 	}
 	run() // size every component before measuring
 
-	// Measured 46 allocs/run on a warm machine after the replay hot-loop
-	// pass (result copy, routine builds, a few map growths); the bound
-	// leaves ~40% headroom for benign variation in map growth while
+	// Measured 49 allocs/run on a warm machine (result copy, routine
+	// builds with their scheduling decodes, a few map growths); the bound
+	// leaves ~30% headroom for benign variation in map growth while
 	// still catching any per-instruction or per-branch allocation, which
 	// would show up in the thousands. The previous gate was 128.
 	const maxAllocs = 64

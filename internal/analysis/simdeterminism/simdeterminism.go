@@ -46,8 +46,8 @@ var SimPackages = []string{
 	"internal/mem",
 	"internal/cache",
 	// replay regenerates the retirement stream and the predictor's
-	// recorded decisions; any nondeterminism here would split a replayed
-	// run from its live twin, so it lives under the same contract.
+	// decisions for the benchmark's probes, so it lives under the same
+	// contract as the emulator and predictors it drives.
 	"internal/replay",
 }
 

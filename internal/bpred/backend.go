@@ -2,6 +2,7 @@ package bpred
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"dpbp/internal/bpred/h2p"
@@ -58,6 +59,23 @@ func (s Spec) Canonical() Spec {
 	s.TAGE = s.TAGE.Canonical()
 	s.H2P = s.H2P.Canonical()
 	return s
+}
+
+// Validate rejects a Spec no backend can be built from: an unknown
+// Name, or a sizing section outside its bounds (tage.Config.Validate,
+// h2p.Config.Validate). Both sections are checked whatever the Name,
+// since Canonical keeps both and the H2P section also sizes the spawn
+// gate. Callers at the process boundary (the CLI, the server, the root
+// API) validate before running, so a bad request is an error instead of
+// a panic inside a run.
+func (s Spec) Validate() error {
+	if s.Name != "" && !slices.Contains(Backends(), s.Name) {
+		return fmt.Errorf("unknown predictor backend %q (have %v)", s.Name, Backends())
+	}
+	if err := s.TAGE.Validate(); err != nil {
+		return err
+	}
+	return s.H2P.Validate()
 }
 
 // BackendStats is the union of per-backend counters; Snapshot fills the

@@ -6,6 +6,8 @@ import (
 	"strings"
 	"testing"
 
+	"dpbp/internal/bpred/h2p"
+	"dpbp/internal/bpred/tage"
 	"dpbp/internal/isa"
 )
 
@@ -175,6 +177,64 @@ func TestNewFromSpecBackendSelection(t *testing.T) {
 		}
 		if got := reflect.TypeOf(p.Dir).String(); got != want {
 			t.Fatalf("backend %q built %s, want %s", name, got, want)
+		}
+	}
+}
+
+// TestSpecValidate pins the boundary checks: zero and default sizes
+// pass, every out-of-range size is rejected with an error instead of
+// reaching the constructors (where a single-entry TAGE table divides by
+// zero and a negative size panics in makeslice), and the smallest sizes
+// Validate accepts still build a working backend.
+func TestSpecValidate(t *testing.T) {
+	valid := []Spec{
+		{},
+		{Name: BackendHybrid},
+		{Name: BackendTAGE, TAGE: tage.DefaultConfig()},
+		{Name: BackendH2P, H2P: h2p.DefaultConfig()},
+		{Name: BackendTAGE, TAGE: tage.Config{MinHistory: 200}}, // max raised to match
+		{Name: BackendTAGE, TAGE: tage.Config{Tables: 1, TableEntries: 2, TagBits: 2, MinHistory: 1, MaxHistory: 1, BimodalEntries: 1, UDecayInterval: 1}},
+		{Name: BackendH2P, H2P: h2p.Config{FilterEntries: 1, FilterTagBits: 2, H2PThreshold: 1, FilterWindow: 1, SideEntries: 1, SideHistBits: 1, SideConfidence: 1}},
+	}
+	for _, s := range valid {
+		if err := s.Validate(); err != nil {
+			t.Errorf("Validate(%+v) = %v, want nil", s, err)
+			continue
+		}
+		b, err := NewBackend(s, DefaultConfig())
+		if err != nil {
+			t.Fatal(err)
+		}
+		for pc := isa.Addr(0); pc < 64; pc++ {
+			b.Update(pc, b.Predict(pc) != (pc%3 == 0))
+		}
+	}
+	invalid := []Spec{
+		{Name: "oracle9000"},
+		{Name: BackendTAGE, TAGE: tage.Config{TableEntries: -5}},
+		{Name: BackendTAGE, TAGE: tage.Config{TableEntries: 1}},
+		{Name: BackendTAGE, TAGE: tage.Config{TableEntries: tage.MaxTableEntries + 1}},
+		{Name: BackendTAGE, TAGE: tage.Config{BimodalEntries: -1}},
+		{Name: BackendTAGE, TAGE: tage.Config{Tables: tage.MaxTables + 1}},
+		{Name: BackendTAGE, TAGE: tage.Config{TagBits: 1}},
+		{Name: BackendTAGE, TAGE: tage.Config{TagBits: 17}},
+		{Name: BackendTAGE, TAGE: tage.Config{MinHistory: -8}},
+		{Name: BackendTAGE, TAGE: tage.Config{MinHistory: 64, MaxHistory: 8}},
+		{Name: BackendTAGE, TAGE: tage.Config{MaxHistory: tage.MaxHistoryLen + 1}},
+		{Name: BackendTAGE, TAGE: tage.Config{UDecayInterval: -1}},
+		{Name: BackendH2P, H2P: h2p.Config{FilterEntries: -1}},
+		{Name: BackendH2P, H2P: h2p.Config{FilterEntries: 1 << 30}},
+		{Name: BackendH2P, H2P: h2p.Config{FilterTagBits: 1}},
+		{Name: BackendH2P, H2P: h2p.Config{SideEntries: -4}},
+		{Name: BackendH2P, H2P: h2p.Config{SideHistBits: 64}},
+		{Name: BackendH2P, H2P: h2p.Config{SideConfidence: 5}},
+		{Name: BackendH2P, H2P: h2p.Config{H2PThreshold: 1 << 16}},
+		// The H2P section sizes the spawn gate under any backend.
+		{Name: BackendHybrid, H2P: h2p.Config{FilterWindow: -1}},
+	}
+	for _, s := range invalid {
+		if err := s.Validate(); err == nil {
+			t.Errorf("Validate(%+v) = nil, want an error", s)
 		}
 	}
 }

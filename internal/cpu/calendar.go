@@ -12,59 +12,67 @@ import "fmt"
 type calendar struct {
 	limit int
 	// gen distinguishes runs: reset bumps it, instantly invalidating
-	// every slot. Zeroing the two 32K-slot arrays on every reset cost
-	// ~640KB of writes per run pair; the generation check is one extra
-	// compare on a line the slot access already touched.
-	gen     uint64
-	used    []uint16
-	cycle   []uint64
-	slotGen []uint64
+	// every slot. Zeroing the 32K slots on every reset cost ~512KB of
+	// writes per run pair; the generation check is one extra compare on
+	// the slot the access already touched.
+	gen   uint32
+	slots []calSlot
+}
+
+// calSlot is one cycle's booking: the absolute cycle and run generation
+// that validate it, and the units used. One 16-byte slot per probe keeps
+// each lookup to a single cache line.
+type calSlot struct {
+	cycle uint64
+	gen   uint32
+	used  uint16
 }
 
 const calendarHorizon = 1 << 15
 
 func newCalendar(limit int) *calendar {
 	return &calendar{
-		limit:   limit,
-		gen:     1,
-		used:    make([]uint16, calendarHorizon),
-		cycle:   make([]uint64, calendarHorizon),
-		slotGen: make([]uint64, calendarHorizon),
+		limit: limit,
+		gen:   1,
+		slots: make([]calSlot, calendarHorizon),
 	}
 }
 
 // reset invalidates every slot so the calendar can serve another run. A
 // new run's cycle numbers restart from zero, so stale entries could
 // otherwise masquerade as live bookings; bumping the generation retires
-// them all in O(1).
+// them all in O(1). When the 32-bit generation wraps, slots stamped with
+// the reused generation numbers could revive, so the wrap zeroes them.
 func (c *calendar) reset() {
 	c.gen++
+	if c.gen == 0 {
+		clear(c.slots)
+		c.gen = 1
+	}
 }
 
 func (c *calendar) usedAt(cyc uint64) uint16 {
-	i := cyc % calendarHorizon
-	if c.slotGen[i] != c.gen || c.cycle[i] != cyc {
+	s := &c.slots[cyc%calendarHorizon]
+	if s.gen != c.gen || s.cycle != cyc {
 		return 0
 	}
-	return c.used[i]
+	return s.used
 }
 
 func (c *calendar) add(cyc uint64) {
-	i := cyc % calendarHorizon
-	if c.slotGen[i] != c.gen || c.cycle[i] != cyc {
-		c.slotGen[i] = c.gen
-		c.cycle[i] = cyc
-		c.used[i] = 0
+	s := &c.slots[cyc%calendarHorizon]
+	if s.gen != c.gen || s.cycle != cyc {
+		*s = calSlot{cycle: cyc, gen: c.gen}
 	}
-	c.used[i]++
+	s.used++
 }
 
 // remove refunds one slot at cyc (microthread abort). It is a no-op if the
 // slot has already been recycled.
 func (c *calendar) remove(cyc uint64) {
-	i := cyc % calendarHorizon
-	if c.slotGen[i] == c.gen && c.cycle[i] == cyc && c.used[i] > 0 {
-		c.used[i]--
+	s := &c.slots[cyc%calendarHorizon]
+	if s.gen == c.gen && s.cycle == cyc && s.used > 0 {
+		s.used--
 	}
 }
 

@@ -1,6 +1,7 @@
 package cpu
 
 import (
+	"math"
 	"strings"
 	"testing"
 )
@@ -42,6 +43,29 @@ func TestCalendarRemoveRespectsGeneration(t *testing.T) {
 	c.add(10)
 	if got := c.usedAt(10); got != 1 {
 		t.Fatalf("usedAt(10) = %d, want 1", got)
+	}
+}
+
+// TestCalendarGenerationWrap verifies that when the 32-bit run
+// generation wraps, bookings stamped by earlier runs cannot revive under
+// a reused generation number.
+func TestCalendarGenerationWrap(t *testing.T) {
+	c := newCalendar(4)
+	c.add(10) // generation 1
+	c.gen = math.MaxUint32
+	c.add(11)
+	c.reset() // wraps
+	if c.gen == 0 {
+		t.Fatal("generation wrapped to 0, the zero slot's stamp")
+	}
+	for _, cyc := range []uint64{10, 11} {
+		if got := c.usedAt(cyc); got != 0 {
+			t.Errorf("usedAt(%d) = %d after the wrap, want 0", cyc, got)
+		}
+	}
+	c.add(10)
+	if got := c.usedAt(10); got != 1 {
+		t.Errorf("usedAt(10) = %d after a fresh booking, want 1", got)
 	}
 }
 

@@ -2,6 +2,7 @@ package cpu
 
 import (
 	"context"
+	"math"
 
 	"dpbp/internal/bpred"
 	"dpbp/internal/bpred/h2p"
@@ -27,16 +28,10 @@ import (
 type Machine struct {
 	cfg  Config
 	prog *program.Program
-	em   *emu.Machine
-
-	// src is the functional instruction stream the run consumes: the
-	// private emulator (wrapped by live) by default, or a replay source
-	// passed to RunContextFrom. preds is non-nil when src carries a
-	// recorded predictor interaction, in which case the machine's own
-	// predictor tables are never consulted.
-	src   Source
-	live  liveSource
-	preds PredictionSource
+	// em is the functional instruction stream: the machine steps its
+	// own emulator down the correct path, one record per retired
+	// instruction.
+	em *emu.Machine
 
 	pred    *bpred.Predictor
 	vp, ap  *vpred.Predictor
@@ -73,6 +68,9 @@ type Machine struct {
 	windowSpawns   uint64
 
 	ctxs []mctx
+	// uDone is spawn's scratch: the completion cycle of each instruction
+	// of the routine being scheduled.
+	uDone []uint64 //dpbp:reset-skip scratch, fully rewritten before every read
 	// activeCtxs counts active microcontexts so monitorContexts — which
 	// otherwise scans every context for every retired instruction — can
 	// skip the scan entirely while nothing is in flight.
@@ -81,6 +79,11 @@ type Machine struct {
 	// per-retirement monitor visits only live contexts and context
 	// allocation finds the lowest free slot without a scan.
 	activeBits []uint64
+	// nextTarget is the minimum targetSeq over active contexts
+	// (math.MaxUint64 when none is active): no context can complete
+	// before the primary thread retires it, so the monitor skips records
+	// below it that are neither stores nor abort-checked taken branches.
+	nextTarget uint64
 
 	fus, ports *calendar
 	regReady   [isa.NumRegs]uint64
@@ -93,8 +96,8 @@ type Machine struct {
 	lastRet  uint64
 	retCount int
 
-	// isBr[pc] caches Code[pc].IsBranch() for the fetch loop.
-	isBr []bool
+	// decode[pc] is the static decode of Code[pc] (see pcInfo).
+	decode []pcInfo
 
 	// Front-end state.
 	fc           uint64
@@ -155,13 +158,10 @@ func (m *Machine) Reset(prog *program.Program, cfg Config) {
 	if fresh {
 		m.em = emu.New(prog)
 		// The closures dereference m at call time, so they stay correct
-		// when Reset swaps components (emulator, predictors, the stream
-		// source) underneath. Reading through m.src keeps spawn-point
-		// state correct under replay, where the architectural state
-		// lives in the cursor's shadow emulator.
+		// when Reset swaps components (predictors) underneath.
 		m.uenv = uthread.Env{
-			ReadReg: func(r isa.Reg) isa.Word { return m.src.Reg(r) },
-			LoadMem: func(a isa.Addr) isa.Word { return m.src.Load(a) },
+			ReadReg: func(r isa.Reg) isa.Word { return m.em.Reg(r) },
+			LoadMem: func(a isa.Addr) isa.Word { return m.em.Mem.Load(a) },
 			PredictValue: func(pc isa.Addr, ahead int) (isa.Word, bool) {
 				return m.vp.Predict(pc, ahead)
 			},
@@ -172,9 +172,6 @@ func (m *Machine) Reset(prog *program.Program, cfg Config) {
 	} else {
 		m.em.Reset(prog)
 	}
-	m.live.em = m.em
-	m.src = &m.live
-	m.preds = nil
 	if fresh || prev.Predictor != cfg.Predictor || prev.BPred != cfg.BPred {
 		p, err := bpred.NewFromSpec(cfg.Predictor, cfg.BPred)
 		if err != nil {
@@ -274,6 +271,7 @@ func (m *Machine) Reset(prog *program.Program, cfg Config) {
 		}
 	}
 	m.activeCtxs = 0
+	m.nextTarget = math.MaxUint64
 	if words := (cfg.Microcontexts + 63) / 64; len(m.activeBits) != words {
 		m.activeBits = make([]uint64, words)
 	} else {
@@ -301,13 +299,7 @@ func (m *Machine) Reset(prog *program.Program, cfg Config) {
 		clear(m.retRing)
 	}
 	m.retMask = uint64(ringLen - 1)
-	if len(m.isBr) < len(prog.Code) {
-		m.isBr = make([]bool, len(prog.Code))
-	}
-	m.isBr = m.isBr[:len(prog.Code)]
-	for a, in := range prog.Code {
-		m.isBr[a] = in.IsBranch()
-	}
+	m.decode = decodeProgram(m.decode, prog.Code)
 	m.lastRet = 0
 	m.retCount = 0
 
@@ -345,23 +337,10 @@ const ctxCheckInterval = 4096
 // reused immediately. On cancellation or deadline the partial statistics
 // accumulated so far are returned alongside the context's error.
 func (m *Machine) RunContext(ctx context.Context, prog *program.Program, cfg Config) (*Result, error) {
-	return m.RunContextFrom(ctx, prog, cfg, nil)
-}
-
-// RunContextFrom is RunContext with the functional stream supplied
-// externally: src replaces the machine's private emulator as the
-// instruction source (nil means live execution). The source must be
-// positioned at the start of prog's stream and must cover cfg.MaxInsts
-// records (or end at the program's halt). Because the retirement
-// stream is config-invariant, a run replayed from a recorded source
-// returns a Result bit-identical to live execution; sources that also
-// carry recorded predictions (PredictionSource with predictions
-// attached) additionally bypass the machine's branch-predictor tables.
-func (m *Machine) RunContextFrom(ctx context.Context, prog *program.Program, cfg Config, src Source) (*Result, error) {
 	m.Reset(prog, cfg)
 	cfg = m.cfg // defaults applied
 	var rs runState
-	m.beginRun(src, &rs)
+	m.beginRun(&rs)
 	for m.res.Insts < cfg.MaxInsts && !rs.halted {
 		if m.res.Insts%ctxCheckInterval == 0 && ctx.Err() != nil {
 			break
@@ -376,54 +355,38 @@ func (m *Machine) RunContextFrom(ctx context.Context, prog *program.Program, cfg
 }
 
 // runState is the per-thread progress of one timing run: the locally
-// tracked stream position plus the devirtualized stepper. RunContextFrom
-// drives one to completion; RunSMT interleaves one per primary context
-// under the fetch arbiter.
+// tracked stream position. RunContext drives one to completion; RunSMT
+// interleaves one per primary context under the fetch arbiter.
 type runState struct {
 	rec    emu.Record
 	pc     isa.Addr
 	seq    uint64
 	halted bool
-	// stepEm devirtualizes stepping when the source is a shell over an
-	// emulator (both the live source and the replay cursor are); nil
-	// falls back to the interface.
-	stepEm *emu.Machine
 	// expire: only microthread runs populate the prediction cache, so
 	// only they have entries to expire.
 	expire bool
 }
 
-// beginRun points the machine at its instruction source (nil src keeps
-// the private emulator) and initializes rs at the source's position.
-// Must follow Reset; pc and seq track the source's fetch point locally —
-// after each record they are rec.NextPC and rec.Seq+1 by the stream
-// contract, so the run loop pays one source call per instruction (Next)
-// instead of four.
-func (m *Machine) beginRun(src Source, rs *runState) {
-	if src != nil {
-		m.src = src
-		if ps, ok := src.(PredictionSource); ok && ps.HasPredictions() {
-			m.preds = ps
-		}
-	}
-	rs.stepEm = nil
-	if eb, ok := m.src.(emuBacked); ok {
-		rs.stepEm = eb.Emu()
-	}
-	rs.pc, rs.seq = m.src.PC(), m.src.Seq()
-	rs.halted = m.src.Halted()
+// beginRun initializes rs at the emulator's position. Must follow Reset;
+// pc and seq track the fetch point locally — after each record they are
+// rec.NextPC and rec.Seq+1 — so the run loop pays one emulator call per
+// instruction (Step) instead of four.
+func (m *Machine) beginRun(rs *runState) {
+	rs.pc, rs.seq = m.em.PC(), m.em.Seq()
+	rs.halted = m.em.Halted()
 	rs.expire = m.cfg.Mode == ModeMicrothread
 }
 
 // stepOne fetches, executes, and retires the machine's next primary
-// instruction. It returns false when the source is exhausted; the halt
+// instruction. It returns false when the emulator has halted; the halt
 // idiom (an unconditional self-jump) turns rs.halted true instead,
-// exactly when the source's Halted would. The operation order is the
-// single-thread run loop's, unchanged — RunContextFrom is a straight
+// exactly when the emulator's Halted would. The operation order is the
+// single-thread run loop's, unchanged — RunContext is a straight
 // loop over stepOne, which is what keeps solo runs and 1-context SMT
 // runs bit-identical to the pre-SMT machine.
 func (m *Machine) stepOne(rs *runState) bool {
-	fc := m.fetchCycleFor(rs.pc, m.isBr[rs.pc], rs.seq)
+	pi := m.decode[rs.pc]
+	fc := m.fetchCycleFor(rs.pc, pi.has(piBranch), rs.seq)
 	if m.obs != nil {
 		// Stamp subsequent events (including the Path Cache's, which
 		// has no clock of its own) with this instruction's fetch cycle
@@ -442,15 +405,11 @@ func (m *Machine) stepOne(rs *runState) bool {
 	if m.cfg.Mode == ModeMicrothread {
 		m.trySpawns(rs.pc, rs.seq, fc)
 	}
-	if rs.stepEm != nil {
-		if !rs.stepEm.Step(&rs.rec) {
-			return false
-		}
-	} else if !m.src.Next(&rs.rec) {
+	if !m.em.Step(&rs.rec) {
 		return false
 	}
 	m.res.Insts++
-	m.execute(&rs.rec, fc)
+	m.execute(&rs.rec, fc, pi)
 	if m.cfg.OnRetire != nil {
 		m.cfg.OnRetire(&rs.rec)
 	}
@@ -468,12 +427,8 @@ func (m *Machine) stepOne(rs *runState) bool {
 // finishRun assembles the run's statistics into m.res.
 func (m *Machine) finishRun() {
 	m.res.Cycles = m.lastRet
-	if m.preds != nil {
-		m.res.PredStats, m.res.Backend = m.preds.FinalPredStats()
-	} else {
-		m.res.PredStats = m.pred.Stats
-		m.res.Backend = m.pred.BackendStats()
-	}
+	m.res.PredStats = m.pred.Stats
+	m.res.Backend = m.pred.BackendStats()
 	m.res.PathCache = m.pathCache.Stats
 	m.res.PCache = m.predCache.Stats
 	m.res.Build = m.builder.Stats
@@ -484,15 +439,13 @@ func (m *Machine) finishRun() {
 }
 
 // ArchRegs returns the architectural register file as of the last retired
-// instruction — the run's stream-source state (the machine's internal
-// emulator when live, the replay cursor's shadow state when replayed).
-// Valid after RunContext returns, until the next Reset.
-func (m *Machine) ArchRegs() [isa.NumRegs]isa.Word { return m.src.Regs() }
+// instruction. Valid after RunContext returns, until the next Reset.
+func (m *Machine) ArchRegs() [isa.NumRegs]isa.Word { return m.em.Regs }
 
 // ArchMem appends the final architectural memory image (nonzero words,
 // ascending address order) to dst and returns it. Valid after RunContext
 // returns, until the next Reset.
-func (m *Machine) ArchMem(dst []emu.MemWord) []emu.MemWord { return m.src.SnapshotMem(dst) }
+func (m *Machine) ArchMem(dst []emu.MemWord) []emu.MemWord { return m.em.Mem.Snapshot(dst) }
 
 func buildConfigOf(cfg Config) uthread.BuildConfig {
 	bc := uthread.DefaultBuildConfig(cfg.Pruning)
@@ -645,10 +598,9 @@ func (m *Machine) redirect(at uint64) {
 // execute models one fetched-and-retired primary instruction: scheduling,
 // branch prediction and redirects, microthread monitoring, and the
 // retirement-side structures (predictor training, PRB, Path Cache,
-// builder).
-func (m *Machine) execute(rec *emu.Record, fc uint64) {
+// builder). pi is the static decode of rec.PC.
+func (m *Machine) execute(rec *emu.Record, fc uint64, pi pcInfo) {
 	cfg := &m.cfg
-	in := rec.Inst
 
 	// Rename and operand readiness.
 	ready := fc + uint64(cfg.FrontLatency)
@@ -661,18 +613,18 @@ func (m *Machine) execute(rec *emu.Record, fc uint64) {
 	// Issue and completion.
 	var complete uint64
 	switch {
-	case in.IsLoad():
+	case pi.has(piLoad):
 		issue := earliest2(m.fus, m.ports, ready)
 		complete = issue + uint64(m.msys.LoadLatency(rec.EA, issue))
-	case in.IsStore():
+	case pi.has(piStore):
 		issue := m.fus.earliest(ready)
 		complete = issue + uint64(m.msys.StoreLatency(rec.EA, issue))
 	default:
 		issue := m.fus.earliest(ready)
-		complete = issue + uint64(isa.Latency(in.Op))
+		complete = issue + uint64(pi.lat)
 	}
-	if dst, ok := in.Writes(); ok {
-		m.regReady[dst] = complete
+	if pi.has(piWrites) {
+		m.regReady[pi.dst] = complete
 	}
 	retC := m.retire(complete)
 	m.retRing[rec.Seq&m.retMask] = retC
@@ -685,21 +637,26 @@ func (m *Machine) execute(rec *emu.Record, fc uint64) {
 	// computes it on demand.
 	usesMicro := cfg.Mode == ModeMicrothread || cfg.Mode == ModePerfectPromoted
 	var termID path.ID
-	if usesMicro && in.IsTerminatingBranch() {
+	if usesMicro && pi.has(piTerm) {
 		termID = m.tracker.ID(rec.PC)
 	}
 
 	var hwMiss bool
-	if in.IsBranch() {
-		hwMiss = m.handleBranch(rec, fc, complete, termID)
+	if pi.has(piBranch) {
+		hwMiss = m.handleBranch(rec, fc, complete, termID, pi)
 	}
 
-	if cfg.Mode == ModeMicrothread && m.activeCtxs > 0 {
-		m.monitorContexts(rec, fc)
+	// Only three kinds of record can change a microcontext: one at or
+	// past the nearest target (completion), a store (memory-dependence
+	// check), and a taken branch under Path_History aborts. Every other
+	// record skips the scan.
+	if cfg.Mode == ModeMicrothread && m.activeCtxs > 0 &&
+		(rec.Seq >= m.nextTarget || pi.has(piStore) || (rec.Taken && cfg.AbortEnabled)) {
+		m.monitorContexts(rec, fc, pi)
 	}
 
 	if usesMicro {
-		m.retireSide(rec, retC, termID, hwMiss)
+		m.retireSide(rec, retC, termID, hwMiss, pi)
 	}
 
 	// Path identity and Path_History feed only the microthreaded modes
@@ -715,27 +672,17 @@ func (m *Machine) execute(rec *emu.Record, fc uint64) {
 // handleBranch performs fetch-time prediction (hardware, oracle, or
 // microthread), resolves it against the actual outcome, and schedules any
 // redirect. It returns whether the hardware predictor mispredicted.
-func (m *Machine) handleBranch(rec *emu.Record, fc, resolve uint64, termID path.ID) bool {
+func (m *Machine) handleBranch(rec *emu.Record, fc, resolve uint64, termID path.ID, pi pcInfo) bool {
 	cfg := &m.cfg
-	in := rec.Inst
-	var pr bpred.Prediction
-	var hwMiss bool
-	if m.preds != nil {
-		// Replay: the recorded overlay yields exactly what Predict and
-		// Update would have computed for this branch, in the same
-		// one-call-per-retired-branch order.
-		pr, hwMiss = m.preds.NextPrediction()
-	} else {
-		pr = m.pred.Predict(rec.PC, in)
-		hwMiss = m.pred.Update(rec.PC, in, pr, rec.Taken, rec.NextPC)
-	}
+	pr := m.pred.Predict(rec.PC, rec.Inst)
+	hwMiss := m.pred.Update(rec.PC, rec.Inst, pr, rec.Taken, rec.NextPC)
 
 	hwNext := pr.Target
-	if in.IsCondBranch() && !pr.Taken {
+	if pi.has(piCond) && !pr.Taken {
 		hwNext = rec.PC + 1
 	}
 
-	if !in.IsTerminatingBranch() {
+	if !pi.has(piTerm) {
 		// Direct jumps and calls never mispredict; returns can (RAS
 		// exhaustion) and cost a full redirect.
 		if hwMiss {
@@ -763,7 +710,7 @@ func (m *Machine) handleBranch(rec *emu.Record, fc, resolve uint64, termID path.
 		if cfg.UsePredictions {
 			if e, ok := m.predCache.Consume(m.ctxID, termID, rec.Seq); ok {
 				eNext := e.Target
-				if in.IsCondBranch() && !e.Taken {
+				if pi.has(piCond) && !e.Taken {
 					eNext = rec.PC + 1
 				}
 				switch {
@@ -856,9 +803,8 @@ func (m *Machine) handleBranch(rec *emu.Record, fc, resolve uint64, termID path.
 // retireSide models the back-end structures fed by the retirement stream:
 // value/address predictor training, the PRB, the Path Cache with its
 // promotion/demotion logic, and the Microthread Builder.
-func (m *Machine) retireSide(rec *emu.Record, retC uint64, termID path.ID, hwMiss bool) {
+func (m *Machine) retireSide(rec *emu.Record, retC uint64, termID path.ID, hwMiss bool, pi pcInfo) {
 	cfg := &m.cfg
-	in := rec.Inst
 
 	usesMicro := cfg.Mode == ModeMicrothread || cfg.Mode == ModePerfectPromoted
 	if !usesMicro {
@@ -871,16 +817,16 @@ func (m *Machine) retireSide(rec *emu.Record, retC uint64, termID path.ID, hwMis
 	// that mode skips the whole retirement side channel.
 	if cfg.Mode == ModeMicrothread {
 		var vconf, aconf bool
-		if _, ok := in.Writes(); ok {
+		if pi.has(piWrites) {
 			vconf = m.vp.TrainConfident(rec.PC, rec.DstVal, rec.Seq)
 		}
-		if in.IsLoad() {
+		if pi.has(piLoad) {
 			aconf = m.ap.TrainConfident(rec.PC, rec.SrcVal[0], rec.Seq)
 		}
 		m.prb.PushRec(rec, vconf, aconf)
 	}
 
-	if !in.IsTerminatingBranch() || !m.tracker.Full() {
+	if !pi.has(piTerm) || !m.tracker.Full() {
 		return
 	}
 

@@ -1,6 +1,7 @@
 package cpu
 
 import (
+	"math"
 	"math/bits"
 	"slices"
 
@@ -139,16 +140,23 @@ func (m *Machine) freeContext() int {
 	return -1
 }
 
-// activate and deactivate keep the active count and bitmask in sync with
-// ctxs[i].active; every transition goes through them.
+// activate and deactivate keep the active count, the bitmask, and
+// nextTarget in sync with ctxs[i].active; every transition goes through
+// them.
 //
 //dpbp:speculative
 func (m *Machine) activate(i int) {
 	m.ctxs[i].active = true
 	m.activeCtxs++
 	m.activeBits[i>>6] |= 1 << (i & 63)
+	if t := m.ctxs[i].targetSeq; t < m.nextTarget {
+		m.nextTarget = t
+	}
 	if m.smt != nil {
 		m.smt.active++
+	}
+	if h := testHookCtxTransition; h != nil {
+		h(m)
 	}
 }
 
@@ -157,10 +165,37 @@ func (m *Machine) deactivate(i int) {
 	m.ctxs[i].active = false
 	m.activeCtxs--
 	m.activeBits[i>>6] &^= 1 << (i & 63)
+	if m.ctxs[i].targetSeq == m.nextTarget {
+		m.nextTarget = m.minTarget()
+	}
 	if m.smt != nil {
 		m.smt.active--
 	}
+	if h := testHookCtxTransition; h != nil {
+		h(m)
+	}
 }
+
+// minTarget returns the minimum targetSeq over active contexts, or
+// math.MaxUint64 when none is active.
+//
+//dpbp:speculative
+func (m *Machine) minTarget() uint64 {
+	lo := uint64(math.MaxUint64)
+	for w, bw := range m.activeBits {
+		for bw != 0 {
+			i := w*64 + bits.TrailingZeros64(bw)
+			bw &= bw - 1
+			lo = min(lo, m.ctxs[i].targetSeq)
+		}
+	}
+	return lo
+}
+
+// testHookCtxTransition, when non-nil, runs after every microcontext
+// activation and deactivation. Tests use it to check the incremental
+// bookkeeping (nextTarget) against a recomputation.
+var testHookCtxTransition func(m *Machine)
 
 // spawn allocates a microcontext, functionally executes the routine
 // against the primary thread's architectural state at the spawn point, and
@@ -185,58 +220,49 @@ func (m *Machine) spawn(ci int, r *uthread.Routine, seq, fc uint64) {
 	m.res.Micro.MicroInsts += uint64(fr.Executed)
 
 	// Timing: schedule the routine's instructions through the shared
-	// calendars. Live-ins (registers below isa.NumRegs never written
-	// in-routine) become ready when their primary-thread producers
-	// complete; microcontext temporaries chain internally.
+	// calendars. Live-ins become ready when their primary-thread
+	// producers complete; in-routine values chain through done, the
+	// completion cycle of each routine instruction.
 	start := fc + uint64(m.cfg.SpawnOverhead)
-	var localReady [uthread.MicroRegs]uint64
-	written := [uthread.MicroRegs]bool{}
+	if cap(m.uDone) < len(r.Sched) {
+		m.uDone = make([]uint64, len(r.Sched))
+	}
+	done := m.uDone[:len(r.Sched)]
 	issues := ctx.issues[:0]
 	loadIdx := 0
 	var complete uint64
-	var buf [2]isa.Reg
-	for idx := range r.Insts {
-		in := &r.Insts[idx].Inst
+	for idx := range r.Sched {
+		si := &r.Sched[idx]
 		// Microcontext queues feed a bounded number of instructions
 		// into the machine per cycle.
 		ready := start + uint64(idx/m.cfg.InjectPerCycle)
-		n := in.ReadsInto(&buf)
-		for i := 0; i < n; i++ {
-			rg := buf[i]
-			if rg == isa.RZero {
-				continue
-			}
-			var t uint64
-			if written[rg] {
-				t = localReady[rg]
-			} else if rg < isa.NumRegs {
-				t = m.regReady[rg] // live-in from the primary thread
+		for _, src := range si.Src[:si.NSrc] {
+			t := m.regReady[src.Reg] // live-in from the primary thread
+			if src.Prod >= 0 {
+				t = done[src.Prod]
 			}
 			if t > ready {
 				ready = t
 			}
 		}
 		var issue uint64
-		switch {
-		case in.IsLoad():
+		switch si.Kind {
+		case uthread.SchedLoad:
 			issue = earliest2(m.fus, m.ports, ready)
 			ea := fr.LoadedEAs[loadIdx]
 			loadIdx++
 			complete = issue + uint64(m.msys.LoadLatency(ea, issue))
 			issues = append(issues, issueRec{cycle: issue, isLoad: true})
-		case in.Op == isa.OpVpInst || in.Op == isa.OpApInst:
+		case uthread.SchedPredict:
 			issue = m.fus.earliest(ready)
 			complete = issue + 2 // predictor query
 			issues = append(issues, issueRec{cycle: issue})
 		default:
 			issue = m.fus.earliest(ready)
-			complete = issue + uint64(isa.Latency(in.Op))
+			complete = issue + uint64(si.Lat)
 			issues = append(issues, issueRec{cycle: issue})
 		}
-		if dst, ok := in.Writes(); ok {
-			localReady[dst] = complete
-			written[dst] = true
-		}
+		done[idx] = complete
 	}
 
 	watch := append(ctx.watch[:0], fr.LoadedEAs...)
@@ -310,11 +336,11 @@ func (m *Machine) wrongPathSpawns(start isa.Addr, seq uint64, fc uint64) {
 // the target branch, and the Path_History abort check on taken branches.
 //
 //dpbp:speculative
-func (m *Machine) monitorContexts(rec *emu.Record, fc uint64) {
+func (m *Machine) monitorContexts(rec *emu.Record, fc uint64, pi pcInfo) {
 	// The record's properties are loop-invariant; evaluate them once,
 	// not per active context.
-	isStore := rec.Inst.IsStore()
-	abortable := m.cfg.AbortEnabled && rec.Taken && rec.Inst.IsBranch()
+	isStore := pi.has(piStore)
+	abortable := m.cfg.AbortEnabled && rec.Taken && pi.has(piBranch)
 	for w, bw := range m.activeBits {
 		for bw != 0 {
 			i := w*64 + bits.TrailingZeros64(bw)

@@ -6,6 +6,8 @@ import (
 	"testing"
 	"time"
 
+	"dpbp/internal/bpred"
+	"dpbp/internal/bpred/tage"
 	"dpbp/internal/synth"
 )
 
@@ -38,6 +40,19 @@ func TestBadBenchmarkName(t *testing.T) {
 	}
 	if _, err := Perfect(ctx(), quick("nope")); err == nil {
 		t.Error("Perfect accepted unknown benchmark")
+	}
+}
+
+// TestBadPredictorSpec checks that every experiment rejects an
+// out-of-range predictor spec up front, with an error, rather than
+// recording a panicked run per benchmark.
+func TestBadPredictorSpec(t *testing.T) {
+	o := quick("comp")
+	o.BPred = bpred.Spec{Name: bpred.BackendTAGE, TAGE: tage.Config{TableEntries: -5}}
+	for _, name := range []string{"table1", "fig6", "shootout", "smt"} {
+		if _, err := Collect(ctx(), name, o); err == nil || !strings.Contains(err.Error(), "table_entries") {
+			t.Errorf("%s: err = %v, want a table_entries range error", name, err)
+		}
 	}
 }
 

@@ -86,6 +86,11 @@ func coveragePct(r *cpu.Result) float64 {
 // recorded in Errors as "mix/sharing".
 func SMT(ctx context.Context, o Options) (*results.SMTResult, error) {
 	o = o.withDefaults()
+	// Mix programs are generated per unit, so a bad spec would otherwise
+	// surface as one failed row per mix instead of one error.
+	if err := o.BPred.Validate(); err != nil {
+		return nil, err
+	}
 	mixes := defaultSMTMixes()
 	if o.SMT.Enabled() {
 		names := make([]string, len(o.SMT.Contexts))
@@ -184,9 +189,8 @@ func SMT(ctx context.Context, o Options) (*results.SMTResult, error) {
 }
 
 // smtRun executes one cancellable SMT run, memoized through o.Cache
-// when one is set. SMT runs are live-only (the tape/overlay fast path
-// is a single-thread facility), so the cache key is the canonical
-// configuration plus every context's program fingerprint.
+// when one is set. The cache key is the canonical configuration plus
+// every context's program fingerprint.
 func smtRun(ctx context.Context, o Options, progs []*program.Program, cfg cpu.Config) (*cpu.SMTResult, error) {
 	if o.Cache == nil {
 		return cpu.RunSMT(ctx, progs, cfg)

@@ -25,12 +25,6 @@
 //     attached obs.Tracer's per-kind counts must reconcile with the
 //     legacy statistics (see CheckTrace).
 //
-// Options.Replay re-runs the whole sweep with every configuration fed
-// from a recorded retirement tape and prediction overlay
-// (internal/replay) instead of a live emulator — the experiment
-// harness's record-once/replay-many fast path — so the same lockstep
-// reference that proves live equivalence proves replay equivalence.
-//
 // A failing random program is shrunk (Shrink) to a minimal failing unit
 // subset and written to testdata/repros as JSON + disassembly.
 package oracle
@@ -44,7 +38,6 @@ import (
 	"dpbp/internal/emu"
 	"dpbp/internal/obs"
 	"dpbp/internal/program"
-	"dpbp/internal/replay"
 )
 
 // NamedConfig is one ablation: a timing configuration with a stable name
@@ -110,12 +103,6 @@ type Options struct {
 	// Trace attaches an obs tracer to microthread configurations and
 	// reconciles its per-kind counts against the legacy statistics.
 	Trace bool
-	// Replay drives every run from a recorded retirement tape with a
-	// prediction overlay (internal/replay) instead of a live emulator,
-	// so the lockstep reference diffs the replayed stream — the dynamic
-	// check behind the experiment harness's record-once/replay-many
-	// fast path.
-	Replay bool
 	// Fault optionally injects a stream corruption (harness self-test).
 	Fault *Fault
 }
@@ -150,14 +137,10 @@ func Verify(prog *program.Program, opts Options) error {
 	if opts.Configs == nil {
 		opts.Configs = Ablations()
 	}
-	var tape *replay.Tape
-	if opts.Replay {
-		tape = replay.Record(prog, opts.MaxInsts)
-	}
 	var first *runSummary
 	var firstName string
 	for _, nc := range opts.Configs {
-		sum, err := verifyOne(prog, nc, opts, tape)
+		sum, err := verifyOne(prog, nc, opts)
 		if err != nil {
 			return err
 		}
@@ -178,10 +161,7 @@ func Verify(prog *program.Program, opts Options) error {
 
 // verifyOne runs prog under one configuration with a lockstep reference
 // emulator and checks the stream, the final state, and the statistics.
-// With a tape it replays the recorded stream through an overlay-carrying
-// cursor — exactly the harness's fast path — so the same lockstep diff
-// that proves live equivalence proves replay equivalence.
-func verifyOne(prog *program.Program, nc NamedConfig, opts Options, tape *replay.Tape) (*runSummary, error) {
+func verifyOne(prog *program.Program, nc NamedConfig, opts Options) (*runSummary, error) {
 	cfg := nc.Config
 	cfg.MaxInsts = opts.MaxInsts
 
@@ -219,26 +199,7 @@ func verifyOne(prog *program.Program, nc NamedConfig, opts Options, tape *replay
 	}
 
 	m := cpu.NewMachine()
-	var res *cpu.Result
-	var err error
-	if tape != nil {
-		canon := cfg.Canonical()
-		ov, oerr := replay.NewOverlay(tape, canon.Predictor, canon.BPred, []uint64{canon.MaxInsts})
-		if oerr != nil {
-			return nil, oerr
-		}
-		c := tape.Cursor()
-		// Released only after the final-state checks below: ArchRegs and
-		// ArchMem read the cursor's emulator, which a released cursor
-		// would let another run rewind.
-		defer tape.Release(c)
-		if !c.WithOverlay(ov, canon.MaxInsts) {
-			return nil, fmt.Errorf("oracle: overlay has no checkpoint for budget %d", canon.MaxInsts)
-		}
-		res, err = m.RunContextFrom(context.Background(), prog, cfg, c)
-	} else {
-		res, err = m.RunContext(context.Background(), prog, cfg)
-	}
+	res, err := m.RunContext(context.Background(), prog, cfg)
 	if err != nil {
 		return nil, err
 	}

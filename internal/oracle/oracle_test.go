@@ -29,22 +29,6 @@ func TestOracleSmoke(t *testing.T) {
 	}
 }
 
-// TestOracleReplaySmoke re-runs a slice of the seed suite in replay
-// mode: every configuration fed from a recorded tape and prediction
-// overlay must still match the lockstep reference emulator bit for bit.
-// This is the dynamic proof behind the experiment harness's
-// record-once/replay-many fast path (internal/exp via internal/replay).
-func TestOracleReplaySmoke(t *testing.T) {
-	opts := smokeOpts()
-	opts.Replay = true
-	for seed := int64(1); seed <= 16; seed++ {
-		prog := synth.Random(seed, 6)
-		if err := Verify(prog, opts); err != nil {
-			t.Errorf("seed %d: %v", seed, err)
-		}
-	}
-}
-
 // TestOracleCoversMicroActivity guards the suite against vacuity: across
 // the smoke seeds the microthread machinery must actually fire — spawns,
 // prediction deliveries, and Path Cache promotions all nonzero — or the

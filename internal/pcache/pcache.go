@@ -24,6 +24,8 @@
 package pcache
 
 import (
+	"math"
+
 	"dpbp/internal/isa"
 	"dpbp/internal/path"
 )
@@ -59,15 +61,21 @@ type Cache struct {
 	entries []Entry //dpbp:reset-skip stale entries are gated by used, which Reset clears
 	used    []bool
 	free    []int
-	index   map[key]int
+
+	// slots is the open-addressed index over entries: each slot holds an
+	// entry index plus one (0 = empty). It has at least twice as many
+	// slots as the cache has entries, so a probe always reaches an empty
+	// slot; linear probing with backward-shift deletion keeps clusters
+	// tombstone-free.
+	slots []int32
+	mask  uint64 //dpbp:reset-skip sizing, fixed at construction
+	n     int
+	// minSeq is a lower bound on the Seq of every live entry
+	// (math.MaxUint64 when the cache is empty). Expire sweeps only once
+	// the fetch position reaches it; a sweep recomputes it exactly.
+	minSeq uint64
 
 	Stats Stats
-}
-
-type key struct {
-	ctx uint8
-	id  path.ID
-	seq uint64
 }
 
 // New returns a Prediction Cache with the given capacity (the paper
@@ -76,11 +84,17 @@ func New(capacity int) *Cache {
 	if capacity < 1 {
 		capacity = 1
 	}
+	nslots := 1
+	for nslots < 2*capacity {
+		nslots <<= 1
+	}
 	c := &Cache{
 		cap:     capacity,
 		entries: make([]Entry, capacity),
 		used:    make([]bool, capacity),
-		index:   make(map[key]int, capacity),
+		slots:   make([]int32, nslots),
+		mask:    uint64(nslots - 1),
+		minSeq:  math.MaxUint64,
 	}
 	for i := capacity - 1; i >= 0; i-- {
 		c.free = append(c.free, i)
@@ -89,7 +103,54 @@ func New(capacity int) *Cache {
 }
 
 // Len returns the number of live entries.
-func (c *Cache) Len() int { return len(c.index) }
+func (c *Cache) Len() int { return c.n }
+
+// home returns the preferred index slot of the key (ctx, id, seq).
+// Path_Ids are already hashes; the Fibonacci multiply folds in the
+// sequence number and context and spreads the result's high bits.
+func (c *Cache) home(ctx uint8, id path.ID, seq uint64) uint64 {
+	h := (uint64(id) ^ seq<<8 ^ uint64(ctx)) * 0x9E3779B97F4A7C15
+	return h >> 32 & c.mask
+}
+
+// find probes for the key. It returns the slot holding it and its entry
+// index, or the empty slot that ends the probe and -1.
+func (c *Cache) find(ctx uint8, id path.ID, seq uint64) (uint64, int) {
+	for i := c.home(ctx, id, seq); ; i = (i + 1) & c.mask {
+		s := c.slots[i]
+		if s == 0 {
+			return i, -1
+		}
+		if e := &c.entries[s-1]; e.PathID == id && e.Seq == seq && e.Ctx == ctx {
+			return i, int(s - 1)
+		}
+	}
+}
+
+// unindex empties slot i, backward-shifting the rest of its cluster so
+// every remaining key stays reachable from its home slot.
+func (c *Cache) unindex(i uint64) {
+	j := i
+	for {
+		c.slots[i] = 0
+		// Find the next entry in the cluster that may legally move into
+		// the hole at i: one whose home slot is not cyclically inside
+		// (i, j].
+		for {
+			j = (j + 1) & c.mask
+			s := c.slots[j]
+			if s == 0 {
+				return
+			}
+			e := &c.entries[s-1]
+			if h := c.home(e.Ctx, e.PathID, e.Seq); (j-h)&c.mask >= (j-i)&c.mask {
+				break
+			}
+		}
+		c.slots[i] = c.slots[j]
+		i = j
+	}
+}
 
 // Write installs a prediction. If the cache is full it first reclaims the
 // entry with the smallest Seq (the one that will expire soonest); entries
@@ -97,8 +158,8 @@ func (c *Cache) Len() int { return len(c.index) }
 // de-allocation keeps 128 entries sufficient.
 func (c *Cache) Write(e Entry) {
 	c.Stats.Writes++
-	k := key{e.Ctx, e.PathID, e.Seq}
-	if i, ok := c.index[k]; ok {
+	at, i := c.find(e.Ctx, e.PathID, e.Seq)
+	if i >= 0 {
 		c.Stats.Overwrites++
 		c.entries[i] = e
 		return
@@ -120,27 +181,35 @@ func (c *Cache) Write(e Entry) {
 		}
 		c.Stats.Evictions++
 		v := &c.entries[victim]
-		delete(c.index, key{v.Ctx, v.PathID, v.Seq})
+		vat, _ := c.find(v.Ctx, v.PathID, v.Seq)
+		c.unindex(vat)
+		c.n--
 		slot = victim
+		// The backward shift may have moved the empty slot the first
+		// probe ended at.
+		at, _ = c.find(e.Ctx, e.PathID, e.Seq)
 	}
 	c.entries[slot] = e
 	c.used[slot] = true
-	c.index[k] = slot
+	c.slots[at] = int32(slot + 1)
+	c.n++
+	if e.Seq < c.minSeq {
+		c.minSeq = e.Seq
+	}
 }
 
 // Consume probes the cache at fetch time for the branch instance
 // (ctx, id, seq). A hit removes and returns the entry: each prediction
 // targets exactly one dynamic instance.
 func (c *Cache) Consume(ctx uint8, id path.ID, seq uint64) (Entry, bool) {
-	k := key{ctx, id, seq}
-	i, ok := c.index[k]
-	if !ok {
+	at, i := c.find(ctx, id, seq)
+	if i < 0 {
 		c.Stats.Misses++
 		return Entry{}, false
 	}
 	c.Stats.Hits++
 	e := c.entries[i]
-	c.release(i, k)
+	c.release(i, at)
 	return e, true
 }
 
@@ -148,12 +217,11 @@ func (c *Cache) Consume(ctx uint8, id path.ID, seq uint64) (Entry, bool) {
 // whether it existed. The SSMT core uses it when an aborted microthread's
 // pending write must be cancelled.
 func (c *Cache) Remove(ctx uint8, id path.ID, seq uint64) bool {
-	k := key{ctx, id, seq}
-	i, ok := c.index[k]
-	if !ok {
+	at, i := c.find(ctx, id, seq)
+	if i < 0 {
 		return false
 	}
-	c.release(i, k)
+	c.release(i, at)
 	return true
 }
 
@@ -163,20 +231,30 @@ func (c *Cache) Remove(ctx uint8, id path.ID, seq uint64) bool {
 // cache each primary thread numbers its stream independently, so a fast
 // thread's sweep must not judge a slow co-runner's entries stale.
 func (c *Cache) Expire(ctx uint8, fetchSeq uint64) {
-	if len(c.index) == 0 {
-		return
+	if fetchSeq < c.minSeq {
+		return // no live entry is at or behind fetchSeq (or none is live)
 	}
+	lo := uint64(math.MaxUint64)
 	for i := range c.entries {
-		e := &c.entries[i]
-		if c.used[i] && e.Ctx == ctx && e.Seq <= fetchSeq {
-			c.Stats.Expired++
-			c.release(i, key{e.Ctx, e.PathID, e.Seq})
+		if !c.used[i] {
+			continue
 		}
+		e := &c.entries[i]
+		if e.Ctx == ctx && e.Seq <= fetchSeq {
+			c.Stats.Expired++
+			at, _ := c.find(e.Ctx, e.PathID, e.Seq)
+			c.release(i, at)
+			continue
+		}
+		lo = min(lo, e.Seq)
 	}
+	c.minSeq = lo
 }
 
-func (c *Cache) release(i int, k key) {
-	delete(c.index, k)
+// release frees entry i, whose key sits in index slot at.
+func (c *Cache) release(i int, at uint64) {
+	c.unindex(at)
+	c.n--
 	c.used[i] = false
 	c.free = append(c.free, i)
 }

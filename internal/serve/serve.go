@@ -244,8 +244,8 @@ func (sub Submission) normalized() Submission {
 	return sub
 }
 
-// validate rejects unknown experiment, benchmark, and backend names
-// before the sweep is admitted.
+// validate rejects unknown experiment, benchmark, and backend names and
+// out-of-range predictor sizes before the sweep is admitted.
 func (sub Submission) validate() error {
 	if !exp.ValidExperiment(sub.Experiment) {
 		return fmt.Errorf("unknown experiment %q (have %v)", sub.Experiment, exp.ExperimentNames())
@@ -255,18 +255,7 @@ func (sub Submission) validate() error {
 			return err
 		}
 	}
-	if name := sub.BPred.Name; name != "" {
-		known := false
-		for _, n := range bpred.Backends() {
-			if n == name {
-				known = true
-			}
-		}
-		if !known {
-			return fmt.Errorf("unknown predictor backend %q (have %v)", name, bpred.Backends())
-		}
-	}
-	return nil
+	return sub.BPred.Validate()
 }
 
 // job is one admitted submission travelling from handler to worker; the

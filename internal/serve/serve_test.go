@@ -284,6 +284,11 @@ func TestBadSubmission(t *testing.T) {
 		{"unknown experiment", `{"experiment":"fig42"}`},
 		{"unknown benchmark", `{"experiment":"table1","benchmarks":["nope"]}`},
 		{"unknown backend", `{"experiment":"table1","bpred":{"name":"oracle9000"}}`},
+		// Out-of-range predictor sizes once reached the runs and came
+		// back as a 200 carrying divide-by-zero or makeslice RunErrors.
+		{"negative tage table", `{"bpred":{"name":"tage","tage":{"table_entries":-5}}}`},
+		{"tage min over max history", `{"experiment":"fig6","bpred":{"name":"tage","tage":{"min_history":64,"max_history":8}}}`},
+		{"oversized h2p filter", `{"experiment":"fig6","bpred":{"name":"h2p","h2p":{"filter_entries":1073741824}}}`},
 	}
 	for _, tc := range cases {
 		if got := post(tc.body); got != http.StatusBadRequest {

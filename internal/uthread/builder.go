@@ -347,6 +347,7 @@ func (b *Builder) Build(prb *PRB, branchSeq uint64, id path.ID, scope int, hist 
 		}
 	}
 
+	sched := decodeSched(insts)
 	r := &Routine{
 		PathID:            id,
 		BranchPC:          br.Rec.PC,
@@ -358,9 +359,10 @@ func (b *Builder) Build(prb *PRB, branchSeq uint64, id path.ID, scope int, hist 
 		ExpectedTakens:    expected,
 		PrefixTakens:      prefix,
 		MemDepSpeculative: hasLoads,
-		DepChain:          computeDepChain(insts),
+		DepChain:          computeDepChain(sched),
 		Pruned:            b.cfg.Pruning,
 		PrunedSubtrees:    len(prunes),
+		Sched:             sched,
 	}
 
 	b.Stats.Builds++

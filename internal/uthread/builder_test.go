@@ -495,7 +495,7 @@ func TestDepChain(t *testing.T) {
 		{Inst: isa.Inst{Op: isa.OpAddi, Dst: 66, Src1: 65, Imm: 1}},
 		{Inst: isa.Inst{Op: isa.OpLdi, Dst: 67, Imm: 9}},
 	}
-	if got := computeDepChain(insts); got != 3 {
+	if got := computeDepChain(decodeSched(insts)); got != 3 {
 		t.Errorf("depChain = %d, want 3", got)
 	}
 }

@@ -232,3 +232,84 @@ func TestPropertyLiveInsAreReal(t *testing.T) {
 		}
 	}
 }
+
+// TestPropertySchedDecode checks each built routine's scheduling decode
+// against a from-scratch derivation over its instructions: every source
+// other than RZero resolves to its latest in-routine producer, or else
+// to a primary-thread live-in; unwritten microcontext temporaries carry
+// no dependence; kind and latency follow the opcode.
+func TestPropertySchedDecode(t *testing.T) {
+	kinds := map[SchedKind]int{}
+	for seed := int64(500); seed < 540; seed++ {
+		for _, prune := range []bool{false, true} {
+			r, _, _ := runToBranch(t, randProgram(seed, seed%2 == 0), DefaultBuildConfig(prune))
+			if len(r.Sched) != len(r.Insts) {
+				t.Fatalf("seed %d: %d sched entries for %d insts", seed, len(r.Sched), len(r.Insts))
+			}
+			last := map[isa.Reg]int{}
+			var buf [2]isa.Reg
+			for idx, mi := range r.Insts {
+				in := mi.Inst
+				want := SchedInst{Lat: uint8(isa.Latency(in.Op))}
+				switch {
+				case in.IsLoad():
+					want.Kind = SchedLoad
+				case in.Op == isa.OpVpInst || in.Op == isa.OpApInst:
+					want.Kind = SchedPredict
+				}
+				n := in.ReadsInto(&buf)
+				for _, rg := range buf[:n] {
+					if p, ok := last[rg]; ok && rg != isa.RZero {
+						want.Src[want.NSrc] = SchedSrc{Prod: int32(p)}
+						want.NSrc++
+					} else if rg != isa.RZero && rg < isa.NumRegs {
+						want.Src[want.NSrc] = SchedSrc{Prod: -1, Reg: rg}
+						want.NSrc++
+					}
+				}
+				if dst, ok := in.Writes(); ok {
+					last[dst] = idx
+				}
+				if r.Sched[idx] != want {
+					t.Fatalf("seed %d prune=%v inst %d (%v): sched %+v, want %+v", seed, prune, idx, in, r.Sched[idx], want)
+				}
+				kinds[want.Kind]++
+			}
+		}
+	}
+	if kinds[SchedLoad] == 0 || kinds[SchedALU] == 0 {
+		t.Errorf("decode kinds never all exercised: %v", kinds)
+	}
+}
+
+// TestSchedDecodeOperands pins decodeSched on a hand-written routine
+// with the operand cases random routines rarely hit: predictor queries,
+// RZero reads, an unwritten temporary, a live-in read after a
+// same-register producer, and a multiply's latency.
+func TestSchedDecodeOperands(t *testing.T) {
+	const tmp = isa.Reg(isa.NumRegs + 3)
+	insts := []MicroInst{
+		{Inst: isa.Inst{Op: isa.OpVpInst, Dst: tmp}},                      // 0
+		{Inst: isa.Inst{Op: isa.OpAdd, Dst: 5, Src1: isa.RZero, Src2: 4}}, // 1: live-in r4
+		{Inst: isa.Inst{Op: isa.OpMul, Dst: 4, Src1: 5, Src2: tmp}},       // 2: producers 1, 0
+		{Inst: isa.Inst{Op: isa.OpApInst, Dst: 6}},                        // 3
+		{Inst: isa.Inst{Op: isa.OpLoad, Dst: 7, Src1: 6}},                 // 4: producer 3
+		{Inst: isa.Inst{Op: isa.OpAdd, Dst: 8, Src1: 4, Src2: tmp + 1}},   // 5: producer 2; unwritten temp
+		{Inst: isa.Inst{Op: isa.OpStorePCache, Src1: 8, Src2: 9}},         // 6: producer 5, live-in r9
+	}
+	want := []SchedInst{
+		{Kind: SchedPredict, Lat: 1},
+		{Kind: SchedALU, Lat: 1, NSrc: 1, Src: [2]SchedSrc{{Prod: -1, Reg: 4}}},
+		{Kind: SchedALU, Lat: 3, NSrc: 2, Src: [2]SchedSrc{{Prod: 1}, {Prod: 0}}},
+		{Kind: SchedPredict, Lat: 1},
+		{Kind: SchedLoad, Lat: 1, NSrc: 1, Src: [2]SchedSrc{{Prod: 3}}},
+		{Kind: SchedALU, Lat: 1, NSrc: 1, Src: [2]SchedSrc{{Prod: 2}}},
+		{Kind: SchedALU, Lat: 1, NSrc: 2, Src: [2]SchedSrc{{Prod: 5}, {Prod: -1, Reg: 9}}},
+	}
+	got := decodeSched(insts)
+	for i := range want {
+		if got[i] != want[i] {
+			t.Errorf("inst %d (%v): %+v, want %+v", i, insts[i].Inst, got[i], want[i])
+		}
+	}
+}

@@ -71,6 +71,81 @@ type Routine struct {
 	Pruned bool
 	// PrunedSubtrees counts the Vp_Inst/Ap_Inst substitutions made.
 	PrunedSubtrees int
+	// Sched is the scheduling decode of Insts, one entry per
+	// instruction, computed once at construction so the timing core
+	// does not re-derive it on every spawn.
+	Sched []SchedInst
+}
+
+// SchedKind classifies a routine instruction for scheduling.
+type SchedKind uint8
+
+// Scheduling kinds: loads book a functional unit and an L1 port and pay
+// the memory latency; predictor queries (Vp_Inst, Ap_Inst) pay the
+// predictor's latency; everything else pays its opcode latency.
+const (
+	SchedALU SchedKind = iota
+	SchedLoad
+	SchedPredict
+)
+
+// SchedInst is one routine instruction's scheduling decode. Its source
+// operands are resolved against the routine itself: a source some
+// earlier routine instruction wrote becomes that producer's index, and
+// a primary-thread register read before any routine write becomes a
+// live-in. Reads of RZero and of microcontext temporaries never written
+// before use carry no dependence and are dropped.
+type SchedInst struct {
+	Kind SchedKind
+	// Lat is isa.Latency of the opcode.
+	Lat  uint8
+	NSrc uint8
+	Src  [2]SchedSrc
+}
+
+// SchedSrc is one resolved source operand: the value is produced by
+// routine instruction Prod when Prod >= 0, else it is live-in register
+// Reg of the primary thread.
+type SchedSrc struct {
+	Prod int32
+	Reg  isa.Reg
+}
+
+// decodeSched computes the scheduling decode of insts.
+func decodeSched(insts []MicroInst) []SchedInst {
+	out := make([]SchedInst, len(insts))
+	var prod [MicroRegs]int32
+	for i := range prod {
+		prod[i] = -1
+	}
+	var buf [2]isa.Reg
+	for idx := range insts {
+		in := &insts[idx].Inst
+		si := &out[idx]
+		si.Lat = uint8(isa.Latency(in.Op))
+		switch {
+		case in.IsLoad():
+			si.Kind = SchedLoad
+		case in.Op == isa.OpVpInst || in.Op == isa.OpApInst:
+			si.Kind = SchedPredict
+		}
+		n := in.ReadsInto(&buf)
+		for _, rg := range buf[:n] {
+			switch {
+			case rg == isa.RZero:
+			case prod[rg] >= 0:
+				si.Src[si.NSrc] = SchedSrc{Prod: prod[rg]}
+				si.NSrc++
+			case rg < isa.NumRegs:
+				si.Src[si.NSrc] = SchedSrc{Prod: -1, Reg: rg}
+				si.NSrc++
+			}
+		}
+		if dst, ok := in.Writes(); ok {
+			prod[dst] = int32(idx)
+		}
+	}
+	return out
 }
 
 // Size returns the routine length in instructions.
@@ -88,26 +163,20 @@ func (r *Routine) String() string {
 }
 
 // computeDepChain returns the longest register-dependence chain through
-// insts, in instructions. Live-in values have depth 0.
-func computeDepChain(insts []MicroInst) int {
-	depth := make(map[isa.Reg]int)
+// a routine, in instructions, from its scheduling decode. Live-in values
+// have depth 0.
+func computeDepChain(sched []SchedInst) int {
+	depth := make([]int, len(sched))
 	longest := 0
-	for _, mi := range insts {
+	for i, si := range sched {
 		d := 0
-		var buf [2]isa.Reg
-		n := mi.Inst.ReadsInto(&buf)
-		for i := 0; i < n; i++ {
-			if dd := depth[buf[i]]; dd > d {
-				d = dd
+		for _, src := range si.Src[:si.NSrc] {
+			if src.Prod >= 0 && depth[src.Prod] > d {
+				d = depth[src.Prod]
 			}
 		}
-		d++
-		if dst, ok := mi.Inst.Writes(); ok {
-			depth[dst] = d
-		}
-		if d > longest {
-			longest = d
-		}
+		depth[i] = d + 1
+		longest = max(longest, d+1)
 	}
 	return longest
 }

@@ -56,10 +56,6 @@ type entry struct {
 	stride isa.Word
 	conf   int
 	valid  bool
-	// trainedSeq is the retirement sequence number of the last training
-	// instance; ahead-distance bookkeeping in microthreads is done by
-	// the builder, so the predictor itself only stores the value state.
-	trainedSeq uint64
 }
 
 // Predictor is a last-value/stride predictor with confidence.
@@ -89,12 +85,14 @@ func (p *Predictor) at(pc isa.Addr) *entry {
 }
 
 // Train observes the retired value produced by the instruction at pc. seq
-// is its retirement sequence number.
+// is its retirement sequence number; the predictor keeps only value
+// state (ahead-distance bookkeeping for microthreads is the builder's),
+// so seq does not affect it.
 func (p *Predictor) Train(pc isa.Addr, value isa.Word, seq uint64) {
 	p.Trains++
 	e := p.at(pc)
 	if !e.valid || e.tag != pc {
-		*e = entry{tag: pc, last: value, valid: true, trainedSeq: seq}
+		*e = entry{tag: pc, last: value, valid: true}
 		return
 	}
 	predicted := e.last + e.stride
@@ -114,7 +112,6 @@ func (p *Predictor) Train(pc isa.Addr, value isa.Word, seq uint64) {
 		}
 	}
 	e.last = value
-	e.trainedSeq = seq
 }
 
 // TrainConfident trains on a retired value and reports whether the entry
