@@ -33,7 +33,11 @@ func run(w io.Writer, bench string, insts uint64) error {
 	if err != nil {
 		return err
 	}
-	p := dpbp.Profile(wl, dpbp.PathProfileConfig{MaxInsts: insts})
+	cfg := dpbp.PathProfileConfig{MaxInsts: insts}
+	if err := cfg.Validate(); err != nil {
+		return err
+	}
+	p := dpbp.Profile(wl, cfg)
 	fmt.Fprintln(w, p)
 
 	fmt.Fprintln(w, "\nPath characterisation (Table 1 slice):")

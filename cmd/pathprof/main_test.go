@@ -32,3 +32,13 @@ func TestRunUnknownBenchmark(t *testing.T) {
 		t.Errorf("failed run wrote output: %q", b.String())
 	}
 }
+
+func TestRunOverBudget(t *testing.T) {
+	var b bytes.Buffer
+	if err := run(&b, "comp", 1<<31); err == nil || !strings.Contains(err.Error(), "exceeds the maximum") {
+		t.Errorf("err = %v, want a budget bound error", err)
+	}
+	if b.Len() != 0 {
+		t.Errorf("failed run wrote output: %q", b.String())
+	}
+}

@@ -210,6 +210,7 @@ type PathProfile = pathprof.Profile
 type PathProfileConfig = pathprof.Config
 
 // Profile runs the functional path profiler (no timing) over a workload.
+// It panics if cfg fails cfg.Validate.
 func Profile(w *Workload, cfg PathProfileConfig) *PathProfile {
 	return pathprof.Run(w.Program, cfg)
 }

@@ -45,6 +45,12 @@ var SimPackages = []string{
 	"internal/bpred/h2p",
 	"internal/mem",
 	"internal/cache",
+	"internal/emu",
+	"internal/path",
+	"internal/vpred",
+	// pathprof's tables feed Tables 1-2 and the profile-guided
+	// promotion list.
+	"internal/pathprof",
 	// replay regenerates the retirement stream and the predictor's
 	// decisions for the benchmark's probes, so it lives under the same
 	// contract as the emulator and predictors it drives.

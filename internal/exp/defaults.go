@@ -1,6 +1,10 @@
 package exp
 
-import "runtime"
+import (
+	"runtime"
+
+	"dpbp/internal/pathprof"
+)
 
 // Default instruction budgets, applied when the corresponding Options
 // field is zero. cmd/dpbp leaves its flags at zero so these are the
@@ -8,6 +12,15 @@ import "runtime"
 const (
 	defaultTimingInsts  = 400_000
 	defaultProfileInsts = 1_000_000
+)
+
+// Upper bounds on the instruction budgets, checked by Options.Validate.
+// MaxProfileInsts is the profiler's own bound (its counts are 32-bit).
+// MaxTimingInsts, already minutes of timing core per run, rejects a
+// mistyped budget before it occupies a worker for hours.
+const (
+	MaxTimingInsts  = 1 << 32
+	MaxProfileInsts = pathprof.MaxBudget
 )
 
 // defaultParallelism honours GOMAXPROCS rather than raw NumCPU: the two

@@ -13,6 +13,7 @@ package exp
 
 import (
 	"context"
+	"fmt"
 	"time"
 
 	"dpbp/internal/bpred"
@@ -82,6 +83,19 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
+// Validate rejects a predictor spec the backends cannot build and
+// instruction budgets above MaxTimingInsts or MaxProfileInsts. Zero
+// budgets are valid: they take the defaults.
+func (o Options) Validate() error {
+	if o.TimingInsts > MaxTimingInsts {
+		return fmt.Errorf("timing budget %d exceeds the maximum %d", o.TimingInsts, uint64(MaxTimingInsts))
+	}
+	if o.ProfileInsts > MaxProfileInsts {
+		return fmt.Errorf("profiling budget %d exceeds the maximum %d", o.ProfileInsts, uint64(MaxProfileInsts))
+	}
+	return o.BPred.Validate()
+}
+
 // programs generates the selected benchmarks, failing fast on bad names.
 func (o Options) programs() ([]*program.Program, error) {
 	return o.programsFor(o.Benchmarks)
@@ -91,10 +105,10 @@ func (o Options) programs() ([]*program.Program, error) {
 // is memoized by name (the generator is deterministic) and the block
 // structure and fingerprint are precomputed, so the shared Program is
 // immutable from then on. Every experiment starts here, so this is also
-// where the options' predictor spec is validated: a bad spec fails the
-// experiment up front instead of panicking inside each run.
+// where the options are validated: a bad predictor spec or budget fails
+// the experiment up front instead of panicking inside each run.
 func (o Options) programsFor(names []string) ([]*program.Program, error) {
-	if err := o.BPred.Validate(); err != nil {
+	if err := o.Validate(); err != nil {
 		return nil, err
 	}
 	progs := make([]*program.Program, len(names))
@@ -187,15 +201,15 @@ func timedRunFresh(ctx context.Context, prog *program.Program, cfg cpu.Config) (
 	return r, nil
 }
 
-// profileRun executes one functional profiling run, memoized through
-// o.Cache when one is set.
+// profileRun executes one cancellable functional profiling run, memoized
+// through o.Cache when one is set.
 func profileRun(ctx context.Context, o Options, prog *program.Program, cfg pathprof.Config) (*pathprof.Profile, error) {
 	if o.Cache == nil {
-		return pathprof.Run(prog, cfg), nil
+		return pathprof.RunContext(ctx, prog, cfg)
 	}
 	key := runcache.KeyOf("pathprof", prog.Fingerprint(), cfg.Canonical())
 	v, err := o.Cache.Do(ctx, key, func() (any, error) {
-		return pathprof.Run(prog, cfg), nil
+		return pathprof.RunContext(ctx, prog, cfg)
 	})
 	if err != nil {
 		return nil, err

@@ -8,6 +8,7 @@ import (
 
 	"dpbp/internal/bpred"
 	"dpbp/internal/bpred/tage"
+	"dpbp/internal/runcache"
 	"dpbp/internal/synth"
 )
 
@@ -278,6 +279,51 @@ func TestRunTimeoutPartial(t *testing.T) {
 		if !strings.Contains(e.Err, "deadline") {
 			t.Errorf("error should mention the deadline: %+v", e)
 		}
+	}
+}
+
+// TestProfileRunTimeout verifies the per-run timeout reaches inside a
+// profiling run. Profiles once checked the context only before starting,
+// so a 40M-instruction profile ran to completion (~2.6 s) under a 50 ms
+// budget and reported a successful row.
+func TestProfileRunTimeout(t *testing.T) {
+	for _, cached := range []bool{false, true} {
+		o := Options{Benchmarks: []string{"comp"}, ProfileInsts: 40_000_000, RunTimeout: 50 * time.Millisecond}
+		if cached {
+			o.Cache = runcache.New()
+		}
+		start := time.Now()
+		r, err := Table1(ctx(), o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if elapsed := time.Since(start); elapsed > time.Second {
+			t.Errorf("cached=%v: profile ran %v past a 50ms budget", cached, elapsed)
+		}
+		if len(r.Rows) != 0 || len(r.Errors) != 1 || !strings.Contains(r.Errors[0].Err, "deadline") {
+			t.Errorf("cached=%v: rows %d, errors %+v; want one deadline error", cached, len(r.Rows), r.Errors)
+		}
+		if cached && o.Cache.Len() != 1 {
+			t.Errorf("cache holds %d entries, want only the program: an aborted profile was kept", o.Cache.Len())
+		}
+	}
+}
+
+// TestBudgetBounds checks that over-bound instruction budgets fail every
+// experiment up front.
+func TestBudgetBounds(t *testing.T) {
+	for _, o := range []Options{
+		{Benchmarks: []string{"comp"}, TimingInsts: MaxTimingInsts + 1},
+		{Benchmarks: []string{"comp"}, ProfileInsts: MaxProfileInsts + 1},
+	} {
+		for _, name := range []string{"table1", "fig6", "smt"} {
+			if _, err := Collect(ctx(), name, o); err == nil || !strings.Contains(err.Error(), "exceeds the maximum") {
+				t.Errorf("%s with budgets %d/%d: err = %v, want a bound error", name, o.TimingInsts, o.ProfileInsts, err)
+			}
+		}
+	}
+	if err := (Options{TimingInsts: MaxTimingInsts, ProfileInsts: MaxProfileInsts}).Validate(); err != nil {
+		t.Errorf("budgets at the bounds rejected: %v", err)
 	}
 }
 

@@ -86,9 +86,9 @@ func coveragePct(r *cpu.Result) float64 {
 // recorded in Errors as "mix/sharing".
 func SMT(ctx context.Context, o Options) (*results.SMTResult, error) {
 	o = o.withDefaults()
-	// Mix programs are generated per unit, so a bad spec would otherwise
-	// surface as one failed row per mix instead of one error.
-	if err := o.BPred.Validate(); err != nil {
+	// Mix programs are generated per unit, so bad options would
+	// otherwise surface as one failed row per mix instead of one error.
+	if err := o.Validate(); err != nil {
 		return nil, err
 	}
 	mixes := defaultSMTMixes()

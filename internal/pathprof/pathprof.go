@@ -10,33 +10,34 @@
 package pathprof
 
 import (
+	"context"
 	"fmt"
+	"math"
 	"sort"
 
 	"dpbp/internal/bpred"
 	"dpbp/internal/emu"
-	"dpbp/internal/isa"
 	"dpbp/internal/path"
 	"dpbp/internal/program"
 )
 
-// pathStats aggregates one unique path.
-type pathStats struct {
-	occurrences uint64
-	mispredicts uint64
-	scope       int // fixed per path; recorded on first occurrence
-}
-
-// branchStats aggregates one static branch.
+// branchStats aggregates one static branch. Its counts share the uint32
+// width, and the MaxBudget bound, of pathEntry's.
 type branchStats struct {
-	executions  uint64
-	mispredicts uint64
+	executions  uint32
+	mispredicts uint32
 }
 
-// NProfile holds per-n aggregates.
+// NProfile holds per-n aggregates. It retains only what Table1, Table2
+// and DifficultPathIDs read: the unique-path count, integer sums over all
+// paths, and the paths that mispredicted at least once.
 type NProfile struct {
-	N     int
-	paths map[path.ID]*pathStats
+	N        int
+	unique   int         // unique paths seen
+	scopeSum int64       // sum of every unique path's scope
+	occ      uint64      // occurrences summed over all paths
+	miss     uint64      // mispredictions summed over all paths
+	missed   []pathEntry // paths with miss > 0, in table order
 }
 
 // Profile is the result of one profiling run.
@@ -50,9 +51,19 @@ type Profile struct {
 	Mispredicts uint64
 	// ByN holds the per-path aggregates for each requested path length.
 	ByN []*NProfile
-	// branches holds per-static-branch aggregates.
-	branches map[isa.Addr]*branchStats
+	// uniqueBranches counts the static terminating branches executed.
+	uniqueBranches int
+	// branches holds the static branches that mispredicted at least once.
+	branches []branchStats
 }
+
+// MaxBudget bounds Config.MaxInsts. It keeps every per-path and
+// per-branch count below 2^32, which is what lets the accumulation tables
+// use uint32 counters.
+const MaxBudget = 1 << 30
+
+// MaxN bounds each path length in Config.Ns.
+const MaxN = 64
 
 // Config controls a profiling run.
 type Config struct {
@@ -69,6 +80,20 @@ type Config struct {
 // DefaultConfig profiles n = 4, 10, 16 over 2M instructions.
 func DefaultConfig() Config {
 	return Config{Ns: []int{4, 10, 16}, MaxInsts: 2_000_000, Predictor: bpred.DefaultConfig()}
+}
+
+// Validate rejects path lengths outside [1, MaxN] and budgets above
+// MaxBudget. Zero fields are valid: Canonical fills them.
+func (c Config) Validate() error {
+	for _, n := range c.Ns {
+		if n < 1 || n > MaxN {
+			return fmt.Errorf("pathprof: path length %d out of range [1, %d]", n, MaxN)
+		}
+	}
+	if c.MaxInsts > MaxBudget {
+		return fmt.Errorf("pathprof: instruction budget %d exceeds the maximum %d", c.MaxInsts, MaxBudget)
+	}
+	return nil
 }
 
 // Canonical returns the configuration with every zero field replaced by
@@ -90,53 +115,88 @@ func (c Config) Canonical() Config {
 }
 
 // Run profiles prog under cfg, simulating the baseline predictor
-// against a fresh functional run.
+// against a fresh functional run. It panics if cfg is invalid.
 func Run(prog *program.Program, cfg Config) *Profile {
-	cfg = cfg.Canonical()
-	p := &Profile{
-		Benchmark: prog.Name,
-		branches:  make(map[isa.Addr]*branchStats),
+	p, err := RunContext(context.Background(), prog, cfg)
+	if err != nil {
+		panic(err)
 	}
+	return p
+}
+
+// ctxCheckInterval is how many instructions pass between context polls.
+const ctxCheckInterval = 4096
+
+// Per-PC decode flags, computed once per run.
+const (
+	fBranch uint8 = 1 << iota // any control transfer: trains the predictor
+	fTerm                     // terminating branch: ends a path
+)
+
+// RunContext is Run under a context: it validates cfg, then polls ctx
+// every ctxCheckInterval instructions and abandons the run with ctx's
+// error once it is done.
+func RunContext(ctx context.Context, prog *program.Program, cfg Config) (*Profile, error) {
+	if err := cfg.Validate(); err != nil {
+		return nil, err
+	}
+	// A scope spans at most n regions of at most len(prog.Code)
+	// instructions each; pathEntry stores it as an int32.
+	if uint64(len(prog.Code))*MaxN > math.MaxInt32 {
+		return nil, fmt.Errorf("pathprof: program %q too large to profile (%d instructions)", prog.Name, len(prog.Code))
+	}
+	cfg = cfg.Canonical()
+	flags := make([]uint8, len(prog.Code))
+	for pc, in := range prog.Code {
+		if in.IsBranch() {
+			flags[pc] |= fBranch
+		}
+		if in.IsTerminatingBranch() {
+			flags[pc] |= fTerm
+		}
+	}
+	branches := make([]branchStats, len(prog.Code))
+	tables := make([]pathTable, len(cfg.Ns))
 	trackers := make([]*path.Tracker, len(cfg.Ns))
 	for i, n := range cfg.Ns {
-		p.ByN = append(p.ByN, &NProfile{N: n, paths: make(map[path.ID]*pathStats)})
 		trackers[i] = path.NewTracker(n)
 	}
 	pred := bpred.New(cfg.Predictor)
 	m := emu.New(prog)
-	p.Insts = m.Run(cfg.MaxInsts, func(r *emu.Record) bool {
-		if !r.Inst.IsBranch() {
-			return true
+	// The loop steps the emulator itself rather than through a visitor
+	// callback, so its counters stay in registers.
+	var r emu.Record
+	var insts, nBranches, nMispredicts uint64
+	for insts < cfg.MaxInsts && m.Step(&r) {
+		insts++
+		if r.Seq%ctxCheckInterval == 0 && ctx.Err() != nil {
+			return nil, ctx.Err()
+		}
+		f := flags[r.PC]
+		if f&fBranch == 0 {
+			continue
 		}
 		guess := pred.Predict(r.PC, r.Inst)
 		miss := pred.Update(r.PC, r.Inst, guess, r.Taken, r.NextPC)
-		if r.Inst.IsTerminatingBranch() {
-			p.Branches++
-			if miss {
-				p.Mispredicts++
-			}
-			bs := p.branches[r.PC]
-			if bs == nil {
-				bs = &branchStats{}
-				p.branches[r.PC] = bs
-			}
+		if f&fTerm != 0 {
+			nBranches++
+			bs := &branches[r.PC]
 			bs.executions++
 			if miss {
+				nMispredicts++
 				bs.mispredicts++
 			}
 			for i, tr := range trackers {
 				if !tr.Full() {
 					continue
 				}
-				id := tr.ID(r.PC)
-				ps := p.ByN[i].paths[id]
-				if ps == nil {
-					ps = &pathStats{scope: tr.Scope(r.PC)}
-					p.ByN[i].paths[id] = ps
+				e := tables[i].entry(tr.ID(r.PC))
+				if e.occ == 0 {
+					e.scope = int32(tr.Scope(r.PC))
 				}
-				ps.occurrences++
+				e.occ++
 				if miss {
-					ps.mispredicts++
+					e.miss++
 				}
 			}
 		}
@@ -145,9 +205,34 @@ func Run(prog *program.Program, cfg Config) *Profile {
 				tr.Observe(path.TakenBranch{PC: r.PC, Target: r.NextPC, Seq: r.Seq})
 			}
 		}
-		return true
-	})
-	return p
+	}
+	p := &Profile{Benchmark: prog.Name, Insts: insts, Branches: nBranches, Mispredicts: nMispredicts}
+	p.ByN = make([]*NProfile, len(tables))
+	for i := range tables {
+		p.ByN[i] = tables[i].retain(cfg.Ns[i])
+	}
+	p.retainBranches(branches)
+	return p, nil
+}
+
+// retainBranches keeps the executed-branch count and an exact-length copy
+// of the static branches that mispredicted at least once.
+func (p *Profile) retainBranches(all []branchStats) {
+	missed := 0
+	for _, bs := range all {
+		if bs.executions > 0 {
+			p.uniqueBranches++
+		}
+		if bs.mispredicts > 0 {
+			missed++
+		}
+	}
+	p.branches = make([]branchStats, 0, missed)
+	for _, bs := range all {
+		if bs.mispredicts > 0 {
+			p.branches = append(p.branches, bs)
+		}
+	}
 }
 
 // Table1Row is one benchmark's slice of Table 1 for a single n.
@@ -163,22 +248,37 @@ type Table1Row struct {
 func (p *Profile) Table1(thresholds []float64) []Table1Row {
 	rows := make([]Table1Row, 0, len(p.ByN))
 	for _, np := range p.ByN {
-		row := Table1Row{N: np.N, UniquePaths: len(np.paths), DifficultAt: map[float64]int{}}
-		var scopeSum float64
-		for _, ps := range np.paths {
-			scopeSum += float64(ps.scope)
-			for _, T := range thresholds {
-				if difficult(ps.mispredicts, ps.occurrences, T) {
-					row.DifficultAt[T]++
-				}
+		row := Table1Row{N: np.N, UniquePaths: np.unique, DifficultAt: map[float64]int{}}
+		for _, T := range thresholds {
+			// A threshold no path exceeds stays absent from the map.
+			if c, _, _ := np.difficultAt(T); c > 0 {
+				row.DifficultAt[T] += c
 			}
 		}
-		if len(np.paths) > 0 {
-			row.AvgScope = scopeSum / float64(len(np.paths))
+		if np.unique > 0 {
+			// The scope sum is exact in float64 (far below 2^53), so
+			// this equals summing the scopes as floats in any order.
+			row.AvgScope = float64(np.scopeSum) / float64(np.unique)
 		}
 		rows = append(rows, row)
 	}
 	return rows
+}
+
+// difficultAt returns how many of np's paths are difficult at T, and
+// their mispredictions and occurrences summed.
+func (np *NProfile) difficultAt(T float64) (paths int, miss, exe uint64) {
+	if T < 0 {
+		return np.unique, np.miss, np.occ // every seen path's rate exceeds T
+	}
+	for _, e := range np.missed {
+		if difficult(uint64(e.miss), uint64(e.occ), T) {
+			paths++
+			miss += uint64(e.miss)
+			exe += uint64(e.occ)
+		}
+	}
+	return paths, miss, exe
 }
 
 // Coverage is a (misprediction %, execution %) pair for one classifier.
@@ -202,23 +302,20 @@ func (p *Profile) Table2(thresholds []float64) []Table2Row {
 	for _, T := range thresholds {
 		row := Table2Row{T: T, ByN: map[int]Coverage{}}
 
-		var bMiss, bExe uint64
-		for _, bs := range p.branches {
-			if difficult(bs.mispredicts, bs.executions, T) {
-				bMiss += bs.mispredicts
-				bExe += bs.executions
+		bMiss, bExe := p.Mispredicts, p.Branches // every branch is difficult at T < 0
+		if T >= 0 {
+			bMiss, bExe = 0, 0
+			for _, bs := range p.branches {
+				if difficult(uint64(bs.mispredicts), uint64(bs.executions), T) {
+					bMiss += uint64(bs.mispredicts)
+					bExe += uint64(bs.executions)
+				}
 			}
 		}
 		row.Branch = p.coverage(bMiss, bExe)
 
 		for _, np := range p.ByN {
-			var miss, exe uint64
-			for _, ps := range np.paths {
-				if difficult(ps.mispredicts, ps.occurrences, T) {
-					miss += ps.mispredicts
-					exe += ps.occurrences
-				}
-			}
+			_, miss, exe := np.difficultAt(T)
 			row.ByN[np.N] = p.coverage(miss, exe)
 		}
 		rows = append(rows, row)
@@ -241,7 +338,9 @@ func (p *Profile) coverage(miss, exe uint64) Coverage {
 // length n at threshold T, ordered by descending misprediction count and
 // truncated to limit (0 means no limit). It feeds the profile-guided
 // promotion mode: the timing machine can pre-promote these paths instead
-// of discovering them through Path Cache training.
+// of discovering them through Path Cache training. The profile keeps only
+// paths that mispredicted at least once, so a negative T returns those
+// rather than every path.
 func (p *Profile) DifficultPathIDs(n int, T float64, limit int) []uint64 {
 	var np *NProfile
 	for _, cand := range p.ByN {
@@ -253,14 +352,10 @@ func (p *Profile) DifficultPathIDs(n int, T float64, limit int) []uint64 {
 	if np == nil {
 		return nil
 	}
-	type scored struct {
-		id   path.ID
-		miss uint64
-	}
-	var all []scored
-	for id, ps := range np.paths {
-		if difficult(ps.mispredicts, ps.occurrences, T) {
-			all = append(all, scored{id, ps.mispredicts})
+	var all []pathEntry
+	for _, e := range np.missed {
+		if difficult(uint64(e.miss), uint64(e.occ), T) {
+			all = append(all, e)
 		}
 	}
 	sort.Slice(all, func(i, j int) bool {
@@ -290,7 +385,7 @@ func (p *Profile) MispredictRate() float64 {
 
 // UniqueBranches returns the number of static terminating branches
 // executed.
-func (p *Profile) UniqueBranches() int { return len(p.branches) }
+func (p *Profile) UniqueBranches() int { return p.uniqueBranches }
 
 // difficult implements the paper's definition: misprediction rate
 // strictly greater than T. Paths must have been seen at least once.
@@ -301,5 +396,5 @@ func difficult(miss, occ uint64, T float64) bool {
 // String renders a compact summary.
 func (p *Profile) String() string {
 	return fmt.Sprintf("%s: %d insts, %d branches, %.2f%% mispredicted, %d static branches",
-		p.Benchmark, p.Insts, p.Branches, 100*p.MispredictRate(), len(p.branches))
+		p.Benchmark, p.Insts, p.Branches, 100*p.MispredictRate(), p.uniqueBranches)
 }

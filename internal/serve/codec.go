@@ -42,12 +42,13 @@ func ResultCodec() runcache.Codec {
 }
 
 // approxSize estimates a cached value's resident bytes for the cache's
-// MaxBytes bound: struct scalars at their kind sizes, slices and strings
-// at length times element size, pointers followed. It undercounts maps
-// and interfaces (flat 64 bytes each) — the bound is a pressure valve,
-// not an accountant — but it scales with the dominant weights (result
-// structs and the slices they hold), which is what keeps daemon RSS
-// proportional to the configured cap.
+// MaxBytes bound: struct scalars at their kind sizes, strings at their
+// length, pointers followed, slices of flat elements at length times
+// element size, and slices whose elements hold references element by
+// element. It undercounts maps and interfaces (flat 64 bytes each) — the
+// bound is a pressure valve, not an accountant — but it scales with the
+// dominant weights (result structs, profiles, and the slices they hold),
+// which is what keeps daemon RSS proportional to the configured cap.
 func approxSize(v any) int64 {
 	return sizeOfValue(reflect.ValueOf(v), 0)
 }
@@ -76,15 +77,52 @@ func sizeOfValue(v reflect.Value, depth int) int64 {
 		return n
 	case reflect.Slice, reflect.Array:
 		n := int64(24)
-		if l := v.Len(); l > 0 {
-			n += int64(l) * sizeOfValue(v.Index(0), depth+1)
+		l := v.Len()
+		if l == 0 {
+			return n
 		}
-		return n
+		if !holdsRefs(v.Type().Elem()) {
+			return n + int64(l)*sizeOfValue(v.Index(0), depth+1)
+		}
+		// Elements that point elsewhere differ in size: sum a bounded
+		// prefix and extrapolate over the rest.
+		k := min(l, maxSliceWalk)
+		var sum int64
+		for i := 0; i < k; i++ {
+			sum += sizeOfValue(v.Index(i), depth+1)
+		}
+		return n + sum*int64(l)/int64(k)
 	case reflect.String:
 		return 16 + int64(v.Len())
 	case reflect.Map, reflect.Chan, reflect.Func:
 		return 64
 	default:
 		return int64(v.Type().Size())
+	}
+}
+
+// maxSliceWalk bounds how many elements sizeOfValue visits in a slice
+// whose elements hold references.
+const maxSliceWalk = 64
+
+// holdsRefs reports whether values of t reach memory outside themselves
+// (pointers, slices, strings, maps, ...), so that two values of t can
+// differ in resident size.
+func holdsRefs(t reflect.Type) bool {
+	switch t.Kind() {
+	case reflect.Struct:
+		for i := 0; i < t.NumField(); i++ {
+			if holdsRefs(t.Field(i).Type) {
+				return true
+			}
+		}
+		return false
+	case reflect.Array:
+		return holdsRefs(t.Elem())
+	case reflect.Ptr, reflect.Interface, reflect.Slice, reflect.String,
+		reflect.Map, reflect.Chan, reflect.Func, reflect.UnsafePointer:
+		return true
+	default:
+		return false
 	}
 }

@@ -244,8 +244,9 @@ func (sub Submission) normalized() Submission {
 	return sub
 }
 
-// validate rejects unknown experiment, benchmark, and backend names and
-// out-of-range predictor sizes before the sweep is admitted.
+// validate rejects unknown experiment, benchmark, and backend names,
+// out-of-range predictor sizes, and over-bound instruction budgets before
+// the sweep is admitted.
 func (sub Submission) validate() error {
 	if !exp.ValidExperiment(sub.Experiment) {
 		return fmt.Errorf("unknown experiment %q (have %v)", sub.Experiment, exp.ExperimentNames())
@@ -255,7 +256,8 @@ func (sub Submission) validate() error {
 			return err
 		}
 	}
-	return sub.BPred.Validate()
+	o := exp.Options{TimingInsts: sub.TimingInsts, ProfileInsts: sub.ProfileInsts, BPred: sub.BPred}
+	return o.Validate()
 }
 
 // job is one admitted submission travelling from handler to worker; the

@@ -289,6 +289,10 @@ func TestBadSubmission(t *testing.T) {
 		{"negative tage table", `{"bpred":{"name":"tage","tage":{"table_entries":-5}}}`},
 		{"tage min over max history", `{"experiment":"fig6","bpred":{"name":"tage","tage":{"min_history":64,"max_history":8}}}`},
 		{"oversized h2p filter", `{"experiment":"fig6","bpred":{"name":"h2p","h2p":{"filter_entries":1073741824}}}`},
+		// Over-bound budgets were once admitted and held a worker for as
+		// long as they ran.
+		{"oversized timing budget", `{"experiment":"fig6","timing_insts":4294967297}`},
+		{"oversized profile budget", `{"experiment":"table1","profile_insts":1073741825}`},
 	}
 	for _, tc := range cases {
 		if got := post(tc.body); got != http.StatusBadRequest {
