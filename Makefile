@@ -34,12 +34,13 @@ replay-deps:
 	echo "replay-deps ok: no package outside dpbpbench depends on $(REPLAY_PKG)"
 
 # race covers the packages where concurrency lives (the scheduler, the
-# experiment fan-out, the timing core — SMT suites included — and the
+# experiment fan-out, the timing core — SMT suites included — the trace
+# collector, the run cache's single flight, waiters and eviction, and the
 # dpbpd sweep server) plus the root-package determinism regression
 # tests, which drive the fan-out end to end, and the oracle's SMT
 # differential wall.
 race:
-	$(GO) test -race ./internal/sched/... ./internal/exp/... ./internal/cpu/... ./internal/serve/...
+	$(GO) test -race ./internal/sched/... ./internal/exp/... ./internal/cpu/... ./internal/obs/... ./internal/runcache/... ./internal/serve/...
 	$(GO) test -race -run Determinism .
 	$(GO) test -race -run SMT ./internal/oracle ./cmd/dpbp
 
@@ -92,7 +93,8 @@ profile:
 # serve-smoke drives the dpbpd sweep server end to end: start it,
 # submit a sweep twice, schema-check the streamed NDJSON and /metrics,
 # and assert the streamed document is byte-identical to the equivalent
-# `dpbp -format json` run (warm repeat included).
+# `dpbp -format json` run, and the warm repeat's whole stream, served
+# from the sweep memo, byte-identical to the first.
 serve-smoke:
 	bash scripts/serve_smoke.sh
 

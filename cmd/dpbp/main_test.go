@@ -54,6 +54,17 @@ func TestRunBadBenchmark(t *testing.T) {
 	}
 }
 
+// TestRunDuplicateBenchmark checks -bench comp,comp fails instead of
+// reporting comp twice.
+func TestRunDuplicateBenchmark(t *testing.T) {
+	opts := tiny()
+	opts.Benchmarks = parseBenchList("comp,comp")
+	err := run(context.Background(), &bytes.Buffer{}, "table1", "json", opts)
+	if err == nil || !strings.Contains(err.Error(), "listed twice") {
+		t.Errorf("run(-bench comp,comp) = %v, want a duplicate-benchmark error", err)
+	}
+}
+
 func TestParseBenchList(t *testing.T) {
 	cases := []struct {
 		in   string

@@ -83,10 +83,18 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// Validate rejects a predictor spec the backends cannot build and
-// instruction budgets above MaxTimingInsts or MaxProfileInsts. Zero
-// budgets are valid: they take the defaults.
+// Validate rejects a benchmark named twice, a predictor spec the
+// backends cannot build and instruction budgets above MaxTimingInsts or
+// MaxProfileInsts. Zero budgets are valid: they take the defaults.
+// Unknown benchmark names fail when the programs are generated.
 func (o Options) Validate() error {
+	seen := make(map[string]bool, len(o.Benchmarks))
+	for _, b := range o.Benchmarks {
+		if seen[b] {
+			return fmt.Errorf("benchmark %q listed twice", b)
+		}
+		seen[b] = true
+	}
 	if o.TimingInsts > MaxTimingInsts {
 		return fmt.Errorf("timing budget %d exceeds the maximum %d", o.TimingInsts, uint64(MaxTimingInsts))
 	}
@@ -94,6 +102,18 @@ func (o Options) Validate() error {
 		return fmt.Errorf("profiling budget %d exceeds the maximum %d", o.ProfileInsts, uint64(MaxProfileInsts))
 	}
 	return o.BPred.Validate()
+}
+
+// SweepKey is the content address of what Collect(ctx, name, o) returns
+// when every run succeeds: the experiment, the ordered benchmark list,
+// the canonical predictor spec, the SMT override and the instruction
+// budgets, with defaults applied. Parallelism, RunTimeout, Cache and
+// Trace are left out: they change how a sweep runs, never the results
+// of a sweep without run errors.
+func SweepKey(name string, o Options) runcache.Key {
+	o = o.withDefaults()
+	return runcache.KeyOf("sweep", name, o.Benchmarks, o.BPred.Canonical(), o.SMT.Canonical(),
+		o.TimingInsts, o.ProfileInsts)
 }
 
 // programs generates the selected benchmarks, failing fast on bad names.

@@ -8,6 +8,7 @@ import (
 
 	"dpbp/internal/bpred"
 	"dpbp/internal/bpred/tage"
+	"dpbp/internal/cpu"
 	"dpbp/internal/runcache"
 	"dpbp/internal/synth"
 )
@@ -341,5 +342,65 @@ func TestCancelledContextPartial(t *testing.T) {
 	}
 	if len(r.Errors) != 2 {
 		t.Errorf("errors = %+v, want one per benchmark", r.Errors)
+	}
+}
+
+// TestDuplicateBenchmarkRejected checks that a benchmark listed twice
+// fails every experiment up front; it once ran and reported the
+// benchmark twice. An SMT mix naming one workload twice is a different
+// field and stays legal.
+func TestDuplicateBenchmarkRejected(t *testing.T) {
+	o := quick("comp", "gcc", "comp")
+	for _, name := range []string{"table1", "fig7", "shootout", "smt", "all"} {
+		if _, err := Collect(ctx(), name, o); err == nil || !strings.Contains(err.Error(), `"comp" listed twice`) {
+			t.Errorf("%s: err = %v, want a duplicate-benchmark error", name, err)
+		}
+	}
+	smt, err := ParseSMTSpec("comp+comp")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := (Options{Benchmarks: []string{"comp"}, SMT: smt}).Validate(); err != nil {
+		t.Errorf("SMT mix comp+comp rejected: %v", err)
+	}
+}
+
+// TestSweepKey checks that the key applies the defaults and covers
+// exactly the inputs that change a clean sweep's results.
+func TestSweepKey(t *testing.T) {
+	base := Options{Benchmarks: []string{"comp", "gcc"}, TimingInsts: 30_000, ProfileInsts: 40_000}
+	k := SweepKey("fig7", base)
+
+	same := base
+	same.Parallelism, same.RunTimeout, same.Cache = 7, time.Second, runcache.New()
+	same.BPred = bpred.Spec{Name: bpred.BackendHybrid}
+	if SweepKey("fig7", same) != k {
+		t.Error("parallelism, run timeout, cache or a spelled-out default backend changed the key")
+	}
+	if SweepKey("fig7", Options{}) != SweepKey("fig7", Options{
+		Benchmarks: synth.Names(), TimingInsts: defaultTimingInsts, ProfileInsts: defaultProfileInsts,
+	}) {
+		t.Error("zero options and explicit defaults key differently")
+	}
+
+	differ := map[string]func(o *Options){
+		"order":   func(o *Options) { o.Benchmarks = []string{"gcc", "comp"} },
+		"subset":  func(o *Options) { o.Benchmarks = []string{"comp"} },
+		"timing":  func(o *Options) { o.TimingInsts++ },
+		"profile": func(o *Options) { o.ProfileInsts++ },
+		"backend": func(o *Options) { o.BPred = bpred.Spec{Name: bpred.BackendTAGE} },
+		"smt": func(o *Options) {
+			o.SMT.Contexts = []cpu.WorkloadRef{{Bench: "comp"}, {Bench: "gcc"}}
+		},
+	}
+	for name, mutate := range differ {
+		o := base
+		mutate(&o)
+		if SweepKey("fig7", o) == k {
+			t.Errorf("%s change kept the key", name)
+		}
+	}
+	if SweepKey("fig6", base) == k {
+		t.Error("experiment name not in the key")
 	}
 }

@@ -10,7 +10,11 @@
 // drivers appear without touching the experiments themselves.
 package results
 
-import "dpbp/internal/cpu"
+import (
+	"reflect"
+
+	"dpbp/internal/cpu"
+)
 
 // Section is one named experiment result in output order: the unit the
 // renderers (internal/report) and the sweep drivers (cmd/dpbp, the
@@ -20,6 +24,24 @@ type Section struct {
 	Key string
 	Val any
 }
+
+// Clean reports whether no section records a failed run. Every result
+// type in this package lists its failures in an Errors field of type
+// []RunError; a value without that field records none.
+func Clean(secs []Section) bool {
+	for _, sec := range secs {
+		v := reflect.Indirect(reflect.ValueOf(sec.Val))
+		if v.Kind() != reflect.Struct {
+			continue
+		}
+		if f := v.FieldByName("Errors"); f.IsValid() && f.Type() == runErrorsType && f.Len() > 0 {
+			return false
+		}
+	}
+	return true
+}
+
+var runErrorsType = reflect.TypeOf([]RunError(nil))
 
 // RunError records one benchmark run that failed to produce a row:
 // a panic converted to an error by the scheduler, a cancelled or

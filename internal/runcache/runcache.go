@@ -47,7 +47,6 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"fmt"
-	"hash"
 	"math"
 	"reflect"
 	"sync"
@@ -317,35 +316,35 @@ func (c *Cache) evictLocked() {
 // empty one). Callers canonicalize configuration values first (e.g.
 // cpu.Config.Canonical) so that configs meaning the same run collide.
 //
+// The encoding is appended into one pooled buffer and hashed once; its
+// bytes are pinned by golden keys, because the disk tier names stored
+// results by them.
+//
 // Maps, channels, and non-nil funcs have no canonical encoding and panic:
 // a config carrying one (such as a cpu.Config with an OnBuild hook) is
 // not cacheable, and callers must bypass the cache for it.
 func KeyOf(domain string, parts ...any) Key {
-	h := sha256.New()
-	writeString(h, domain)
+	bp := keyBufs.Get().(*[]byte)
+	b := appendString((*bp)[:0], domain)
 	for _, p := range parts {
-		writeByte(h, 0x1f) // part separator
-		writeValue(h, reflect.ValueOf(p))
+		b = append(b, 0x1f) // part separator
+		b = appendValue(b, reflect.ValueOf(p))
 	}
-	var k Key
-	h.Sum(k[:0])
+	k := Key(sha256.Sum256(b))
+	*bp = b
+	keyBufs.Put(bp)
 	return k
 }
 
-func writeByte(h hash.Hash, b byte) {
-	// hash.Hash.Write never returns an error.
-	h.Write([]byte{b}) //nolint:errcheck
+// keyBufs recycles KeyOf's encoding buffers.
+var keyBufs = sync.Pool{New: func() any { return new([]byte) }}
+
+func appendUint64(b []byte, v uint64) []byte {
+	return binary.LittleEndian.AppendUint64(b, v)
 }
 
-func writeUint64(h hash.Hash, v uint64) {
-	var buf [8]byte
-	binary.LittleEndian.PutUint64(buf[:], v)
-	h.Write(buf[:]) //nolint:errcheck
-}
-
-func writeString(h hash.Hash, s string) {
-	writeUint64(h, uint64(len(s)))
-	h.Write([]byte(s)) //nolint:errcheck
+func appendString(b []byte, s string) []byte {
+	return append(appendUint64(b, uint64(len(s))), s...)
 }
 
 // Kind tags keep composite encodings prefix-free: every node contributes
@@ -363,73 +362,68 @@ const (
 	tagIface
 )
 
-func writeValue(h hash.Hash, v reflect.Value) {
+func appendValue(b []byte, v reflect.Value) []byte {
 	if !v.IsValid() {
-		writeByte(h, tagNil)
-		return
+		return append(b, tagNil)
 	}
 	switch v.Kind() {
 	case reflect.Bool:
-		writeByte(h, tagBool)
+		b = append(b, tagBool, 0)
 		if v.Bool() {
-			writeByte(h, 1)
-		} else {
-			writeByte(h, 0)
+			b[len(b)-1] = 1
 		}
 	case reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64:
-		writeByte(h, tagInt)
-		writeUint64(h, uint64(v.Int()))
+		b = append(b, tagInt)
+		b = appendUint64(b, uint64(v.Int()))
 	case reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64, reflect.Uintptr:
-		writeByte(h, tagUint)
-		writeUint64(h, v.Uint())
+		b = append(b, tagUint)
+		b = appendUint64(b, v.Uint())
 	case reflect.Float32, reflect.Float64:
-		writeByte(h, tagFloat)
-		writeUint64(h, math.Float64bits(v.Float()))
+		b = append(b, tagFloat)
+		b = appendUint64(b, math.Float64bits(v.Float()))
 	case reflect.Complex64, reflect.Complex128:
-		writeByte(h, tagFloat)
-		writeUint64(h, math.Float64bits(real(v.Complex())))
-		writeUint64(h, math.Float64bits(imag(v.Complex())))
+		b = append(b, tagFloat)
+		b = appendUint64(b, math.Float64bits(real(v.Complex())))
+		b = appendUint64(b, math.Float64bits(imag(v.Complex())))
 	case reflect.String:
-		writeByte(h, tagString)
-		writeString(h, v.String())
+		b = append(b, tagString)
+		b = appendString(b, v.String())
 	case reflect.Slice, reflect.Array:
 		// A nil slice and an empty one encode identically on purpose.
-		writeByte(h, tagSeq)
+		b = append(b, tagSeq)
 		n := v.Len()
-		writeUint64(h, uint64(n))
+		b = appendUint64(b, uint64(n))
 		for i := 0; i < n; i++ {
-			writeValue(h, v.Index(i))
+			b = appendValue(b, v.Index(i))
 		}
 	case reflect.Struct:
 		t := v.Type()
-		writeByte(h, tagStruct)
-		writeString(h, t.String())
-		writeUint64(h, uint64(t.NumField()))
+		b = append(b, tagStruct)
+		b = appendString(b, t.String())
+		b = appendUint64(b, uint64(t.NumField()))
 		for i := 0; i < t.NumField(); i++ {
-			writeValue(h, v.Field(i))
+			b = appendValue(b, v.Field(i))
 		}
 	case reflect.Ptr:
 		if v.IsNil() {
-			writeByte(h, tagNil)
-			return
+			return append(b, tagNil)
 		}
-		writeByte(h, tagPtr)
-		writeValue(h, v.Elem())
+		b = append(b, tagPtr)
+		b = appendValue(b, v.Elem())
 	case reflect.Interface:
 		if v.IsNil() {
-			writeByte(h, tagNil)
-			return
+			return append(b, tagNil)
 		}
-		writeByte(h, tagIface)
-		writeString(h, v.Elem().Type().String())
-		writeValue(h, v.Elem())
+		b = append(b, tagIface)
+		b = appendString(b, v.Elem().Type().String())
+		b = appendValue(b, v.Elem())
 	case reflect.Func, reflect.Chan, reflect.Map:
 		if v.IsNil() {
-			writeByte(h, tagNil)
-			return
+			return append(b, tagNil)
 		}
 		panic(fmt.Sprintf("runcache: cannot canonicalize non-nil %s (%s)", v.Kind(), v.Type()))
 	default:
 		panic(fmt.Sprintf("runcache: cannot canonicalize %s (%s)", v.Kind(), v.Type()))
 	}
+	return b
 }

@@ -16,7 +16,8 @@ import (
 // the restart test in this package pins the resulting documents
 // byte-identical. Profiles hold unexported state and stay memory-only:
 // after a restart they recompute, then every timing run they feed hits
-// this codec's entries.
+// this codec's entries. Sweep memos stay memory-only too: this codec
+// declines them, so the disk tier never holds a stream.
 func ResultCodec() runcache.Codec {
 	return runcache.Codec{
 		Type: "cpu.Result",
@@ -47,7 +48,8 @@ func ResultCodec() runcache.Codec {
 // element size, and slices whose elements hold references element by
 // element. It undercounts maps and interfaces (flat 64 bytes each) — the
 // bound is a pressure valve, not an accountant — but it scales with the
-// dominant weights (result structs, profiles, and the slices they hold),
+// dominant weights (result structs, profiles, sweep memos' streamed
+// bytes, and the slices they hold),
 // which is what keeps daemon RSS proportional to the configured cap.
 func approxSize(v any) int64 {
 	return sizeOfValue(reflect.ValueOf(v), 0)

@@ -18,6 +18,17 @@
 // number of clients hit warm entries — across process restarts when a
 // disk directory is configured.
 //
+// # Warm sweeps
+//
+// A sweep that finishes without run errors, cancellation or timeout is
+// memoized whole: the bytes of every frame after "accepted", keyed by
+// exp.SweepKey, in the same bounded run cache under the "sweep" domain.
+// A repeat of the submission streams those bytes and skips every
+// per-run lookup and all JSON encoding; identical concurrent
+// submissions compute once through the cache's single flight. Memos
+// are memory-only: ResultCodec declines them, so the disk tier never
+// stores one.
+//
 // # Backpressure
 //
 // The queue admits at most QueueDepth waiting sweeps beyond the ones in
@@ -118,6 +129,9 @@ type Stats struct {
 	Failed    uint64
 	// Runs counts per-benchmark partial results streamed.
 	Runs uint64
+	// MemoHits counts sweeps streamed from a memoized earlier sweep
+	// instead of computing (each also counts as Completed).
+	MemoHits uint64
 }
 
 // Server is the dpbpd HTTP handler plus its worker pool and shared
@@ -245,8 +259,8 @@ func (sub Submission) normalized() Submission {
 }
 
 // validate rejects unknown experiment, benchmark, and backend names,
-// out-of-range predictor sizes, and over-bound instruction budgets before
-// the sweep is admitted.
+// benchmarks listed twice, out-of-range predictor sizes, and over-bound
+// instruction budgets before the sweep is admitted.
 func (sub Submission) validate() error {
 	if !exp.ValidExperiment(sub.Experiment) {
 		return fmt.Errorf("unknown experiment %q (have %v)", sub.Experiment, exp.ExperimentNames())
@@ -256,51 +270,46 @@ func (sub Submission) validate() error {
 			return err
 		}
 	}
-	o := exp.Options{TimingInsts: sub.TimingInsts, ProfileInsts: sub.ProfileInsts, BPred: sub.BPred}
+	o := exp.Options{Benchmarks: sub.Benchmarks, TimingInsts: sub.TimingInsts, ProfileInsts: sub.ProfileInsts, BPred: sub.BPred}
 	return o.Validate()
 }
 
 // job is one admitted submission travelling from handler to worker; the
-// worker sends events (closing the channel when done) and the handler
-// streams them to the client.
+// worker sends frames (closing the channel when done) and the handler
+// writes them to the client. A frame is one or more whole NDJSON lines,
+// or the raw final document with the lines around it; the worker never
+// modifies a frame's bytes after sending it.
 type job struct {
 	sub    Submission
 	ctx    context.Context
-	events chan event
+	events chan []byte
 }
 
-// event is one streamed frame: either a complete NDJSON line or a raw
-// byte payload (the framed final document).
-type event struct {
-	line []byte
-	raw  []byte
-}
-
-// emit delivers one event unless the job's context is done (client gone
+// emit delivers one frame unless the job's context is done (client gone
 // or sweep timed out), reporting whether it was sent.
-func (j *job) emit(ev event) bool {
+func (j *job) emit(frame []byte) bool {
 	select {
-	case j.events <- ev:
+	case j.events <- frame:
 		return true
 	case <-j.ctx.Done():
 		return false
 	}
 }
 
-// jsonLine marshals v as one NDJSON line. Marshalling an event struct
-// cannot fail; the fallback keeps the stream well-formed if it ever
-// does.
-func jsonLine(v any) event {
-	b, err := json.Marshal(v)
+// appendLine appends v marshalled as one NDJSON line. Marshalling an
+// event struct cannot fail; the fallback keeps the stream well-formed
+// if it ever does.
+func appendLine(b []byte, v any) []byte {
+	line, err := json.Marshal(v)
 	if err != nil {
-		return errorLine(err.Error())
+		return append(b, errorLine(err.Error())...)
 	}
-	return event{line: append(b, '\n')}
+	return append(append(b, line...), '\n')
 }
 
-func errorLine(msg string) event {
+func errorLine(msg string) []byte {
 	b, _ := json.Marshal(map[string]string{"event": "error", "error": msg})
-	return event{line: append(b, '\n')}
+	return append(b, '\n')
 }
 
 // Streamed event shapes, in protocol order.
@@ -310,15 +319,29 @@ type acceptedEvent struct {
 	Benchmarks []string `json:"benchmarks"`
 }
 
+// runEvent is a run line without its last member, "result": the
+// benchmark's partial document (the same shape the CLI would render for
+// a single-benchmark sweep), compact-encoded. appendRunLine adds it.
 type runEvent struct {
 	Event      string `json:"event"` // "run"
 	Experiment string `json:"experiment"`
 	Bench      string `json:"bench"`
 	Index      int    `json:"index"`
 	Total      int    `json:"total"`
-	// Result is the benchmark's partial document (the same shape the
-	// CLI would render for a single-benchmark sweep), compact-encoded.
-	Result json.RawMessage `json:"result"`
+}
+
+// appendRunLine appends the run line for ev and its compact partial
+// document. It splices the bytes in as they are: a json.RawMessage
+// member would be compacted again, at a cost of the document's size.
+func appendRunLine(b []byte, ev runEvent, partial []byte) []byte {
+	head, err := json.Marshal(ev)
+	if err != nil {
+		return append(b, errorLine(err.Error())...)
+	}
+	b = append(b, head[:len(head)-1]...) // drop the closing brace
+	b = append(b, `,"result":`...)
+	b = append(b, partial...)
+	return append(b, "}\n"...)
 }
 
 type resultEvent struct {
@@ -397,7 +420,7 @@ func (s *Server) handleSweeps(w http.ResponseWriter, r *http.Request) {
 	stop := context.AfterFunc(s.base, cancel)
 	defer stop()
 
-	j := &job{sub: sub, ctx: ctx, events: make(chan event, 4)}
+	j := &job{sub: sub, ctx: ctx, events: make(chan []byte, 4)}
 	if err := s.admit(j); err != nil {
 		if errors.Is(err, errQueueFull) {
 			w.Header().Set("Retry-After", "1")
@@ -417,11 +440,7 @@ func (s *Server) handleSweeps(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	flush()
-	for ev := range j.events {
-		frame := ev.line
-		if frame == nil {
-			frame = ev.raw
-		}
+	for frame := range j.events {
 		if _, err := w.Write(frame); err != nil {
 			// Client gone: abort the sweep, keep draining so the
 			// worker can close the channel.
@@ -501,61 +520,118 @@ func (s *Server) jobOptions(sub Submission) exp.Options {
 	return o
 }
 
-// runJob executes one sweep: a partial document per benchmark as it
-// retires, then the complete document — rendered by the CLI's exact
-// code path over the warm shared cache, so the bytes match a dpbp
-// -format json run of the same sweep.
+// sweepMemo is a clean sweep's output after its accepted line: the
+// bytes every later submission of the same sweep streams.
+type sweepMemo []byte
+
+// errNotMemoizable hands a sweep that must not be replayed (run errors,
+// cancellation, timeout) back to the cache, which forgets it; callers
+// waiting on the same key then compute the sweep themselves.
+var errNotMemoizable = errors.New("serve: sweep not memoizable")
+
+// runJob executes one sweep. The first submission of a sweep computes
+// and streams it live (streamSweep); identical submissions arriving
+// meanwhile wait for it and, as every later one does, stream the memo
+// it leaves behind.
 func (s *Server) runJob(j *job) {
 	defer close(j.events)
 	if h := testHookJobStart; h != nil {
 		h(j)
 	}
 	opts := s.jobOptions(j.sub)
-	j.emit(jsonLine(acceptedEvent{
+	j.emit(appendLine(nil, acceptedEvent{
 		Event: "accepted", Experiment: j.sub.Experiment, Benchmarks: j.sub.Benchmarks,
 	}))
-	runs := 0
+	led := false
+	v, err := s.cache.Do(j.ctx, exp.SweepKey(j.sub.Experiment, opts), func() (any, error) {
+		led = true
+		m, err := s.streamSweep(j, opts)
+		if err != nil {
+			s.finishErr(j, err)
+		}
+		if m == nil {
+			return nil, errNotMemoizable
+		}
+		return m, nil
+	})
+	if led {
+		return // streamed and counted above
+	}
+	if err != nil {
+		s.finishErr(j, err)
+		return
+	}
+	if !j.emit(v.(sweepMemo)) {
+		s.finishErr(j, j.ctx.Err())
+		return
+	}
+	s.count(func(st *Stats) {
+		st.MemoHits++
+		st.Runs += uint64(len(j.sub.Benchmarks))
+		st.Completed++
+	})
+}
+
+// streamSweep computes one sweep and streams it: a partial document per
+// benchmark as it retires, then the complete document — rendered by the
+// CLI's exact code path over the warm shared cache, so the bytes match a
+// dpbp -format json run of the same sweep. A completed sweep returns its
+// frames as a memo when no run failed and every frame was delivered, and
+// a nil memo otherwise; an error means the sweep did not complete.
+func (s *Server) streamSweep(j *job, opts exp.Options) (sweepMemo, error) {
+	// frames accumulates every line streamed; each frame sent is a
+	// capped sub-slice, so later appends never touch bytes the handler
+	// may still be writing.
+	var frames []byte
+	clean := true
+	send := func(start int) bool {
+		return j.emit(frames[start:len(frames):len(frames)])
+	}
+	total := len(j.sub.Benchmarks)
 	for i, bench := range j.sub.Benchmarks {
 		per := opts
 		per.Benchmarks = []string{bench}
 		secs, err := exp.Collect(j.ctx, j.sub.Experiment, per)
 		if err != nil {
-			s.finishErr(j, err)
-			return
+			return nil, err
 		}
+		clean = clean && results.Clean(secs)
 		partial, err := json.Marshal(sectionsDoc(secs))
 		if err != nil {
-			s.finishErr(j, err)
-			return
+			return nil, err
 		}
-		if !j.emit(jsonLine(runEvent{
-			Event: "run", Experiment: j.sub.Experiment, Bench: bench,
-			Index: i, Total: len(j.sub.Benchmarks), Result: partial,
-		})) {
-			s.finishErr(j, j.ctx.Err())
-			return
+		start := len(frames)
+		frames = appendRunLine(frames, runEvent{
+			Event: "run", Experiment: j.sub.Experiment, Bench: bench, Index: i, Total: total,
+		}, partial)
+		if !send(start) {
+			return nil, j.ctx.Err()
 		}
-		runs++
 		s.count(func(st *Stats) { st.Runs++ })
 	}
 	secs, err := exp.Collect(j.ctx, j.sub.Experiment, opts)
 	if err != nil {
-		s.finishErr(j, err)
-		return
+		return nil, err
 	}
+	clean = clean && results.Clean(secs)
 	var buf bytes.Buffer
 	if err := report.RenderSections(&buf, report.FormatJSON, secs); err != nil {
-		s.finishErr(j, err)
-		return
+		return nil, err
 	}
-	if j.ctx.Err() != nil {
-		s.finishErr(j, j.ctx.Err())
-		return
+	if err := j.ctx.Err(); err != nil {
+		return nil, err
 	}
-	j.emit(jsonLine(resultEvent{Event: "result", Bytes: buf.Len()}))
-	j.emit(event{raw: buf.Bytes()})
-	j.emit(jsonLine(doneEvent{Event: "done", Runs: runs}))
+	start := len(frames)
+	frames = appendLine(frames, resultEvent{Event: "result", Bytes: buf.Len()})
+	frames = append(frames, buf.Bytes()...)
+	frames = appendLine(frames, doneEvent{Event: "done", Runs: total})
+	delivered := send(start)
 	s.count(func(st *Stats) { st.Completed++ })
+	if !clean || !delivered {
+		return nil, nil
+	}
+	// Copy out of the growth slack: the memo stays resident.
+	return append(sweepMemo(nil), frames...), nil
 }
 
 // finishErr classifies a sweep's failure (cancelled vs failed) and

@@ -4,8 +4,11 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"io/fs"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -119,11 +122,13 @@ func TestStreamEventOrder(t *testing.T) {
 }
 
 // TestCancelMidSweep kills the client connection mid-stream and asserts
-// the server classifies the sweep cancelled (not completed or failed).
+// the server classifies the sweep cancelled (not completed or failed)
+// and leaves no memo of it: the same submission then computes afresh.
 func TestCancelMidSweep(t *testing.T) {
 	s, ts := newTestServer(t, Config{Workers: 1})
 	ctx, cancel := context.WithCancel(context.Background())
-	body, err := json.Marshal(tinySub("fig7", "comp", "gcc", "go"))
+	sub := tinySub("fig7", "comp", "gcc", "go")
+	body, err := json.Marshal(sub)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,12 +155,16 @@ func TestCancelMidSweep(t *testing.T) {
 			if st.Completed != 0 {
 				t.Errorf("cancelled sweep also counted completed: %+v", st)
 			}
-			return
+			break
 		}
 		if time.Now().After(deadline) {
 			t.Fatalf("sweep never classified cancelled: %+v", st)
 		}
 		time.Sleep(10 * time.Millisecond)
+	}
+	parseRaw(t, rawSweep(t, ts, sub))
+	if st := s.Stats(); st.MemoHits != 0 || st.Completed != 1 {
+		t.Errorf("after a cancelled sweep, its resubmission: %+v, want computed, not a memo hit", st)
 	}
 }
 
@@ -262,6 +271,35 @@ func TestWarmHitAcrossRestart(t *testing.T) {
 	if st := s2.CacheStats(); st.TierHits == 0 {
 		t.Errorf("restarted server never hit the disk tier: %+v", st)
 	}
+	// The first server memoized the sweep; the disk holds only its
+	// timing results.
+	if st := s1.Stats(); st.MemoHits != 0 || s2.Stats().MemoHits != 0 {
+		t.Errorf("memo hits across a restart: %+v, %+v", st, s2.Stats())
+	}
+	var files uint64
+	err = filepath.WalkDir(dir, func(path string, d fs.DirEntry, err error) error {
+		if err != nil || d.IsDir() {
+			return err
+		}
+		files++
+		var env struct {
+			Type string `json:"type"`
+		}
+		data, err := os.ReadFile(path)
+		if err == nil {
+			err = json.Unmarshal(data, &env)
+		}
+		if err == nil && env.Type != "cpu.Result" {
+			t.Errorf("disk entry %s holds a %q", path, env.Type)
+		}
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if puts := s1.CacheStats().TierPuts + s2.CacheStats().TierPuts; files != puts {
+		t.Errorf("disk holds %d entries, the tier accepted %d timing results", files, puts)
+	}
 }
 
 // TestBadSubmission covers the 400/405 surfaces.
@@ -283,6 +321,8 @@ func TestBadSubmission(t *testing.T) {
 		{"unknown field", `{"expriment":"all"}`},
 		{"unknown experiment", `{"experiment":"fig42"}`},
 		{"unknown benchmark", `{"experiment":"table1","benchmarks":["nope"]}`},
+		// A benchmark listed twice was once streamed twice.
+		{"duplicate benchmark", `{"experiment":"table1","benchmarks":["comp","gcc","comp"]}`},
 		{"unknown backend", `{"experiment":"table1","bpred":{"name":"oracle9000"}}`},
 		// Out-of-range predictor sizes once reached the runs and came
 		// back as a 200 carrying divide-by-zero or makeslice RunErrors.
@@ -384,10 +424,11 @@ func TestLoadSwarm(t *testing.T) {
 
 // TestEvictionBoundedServer runs distinct sweeps through a tiny cache
 // bound and checks the cache obeyed it (evictions happened, length
-// bounded) while every sweep still completed correctly.
+// bounded) while every sweep still completed correctly. Memos count
+// against the bound: the first sweep's is gone by the time it repeats.
 func TestEvictionBoundedServer(t *testing.T) {
 	s, ts := newTestServer(t, Config{Workers: 1, CacheEntries: 4})
-	for _, bench := range []string{"comp", "gcc", "go"} {
+	for _, bench := range []string{"comp", "gcc", "go", "comp"} {
 		stream, _, err := SubmitSweep(context.Background(), ts.Client(), ts.URL, tinySub("perfect", bench))
 		if err != nil {
 			t.Fatal(err)
@@ -399,6 +440,12 @@ func TestEvictionBoundedServer(t *testing.T) {
 	st := s.CacheStats()
 	if st.Evictions == 0 {
 		t.Errorf("tiny cache bound never evicted: %+v", st)
+	}
+	if n := s.cache.Len(); n > 4 {
+		t.Errorf("cache holds %d entries over a bound of 4", n)
+	}
+	if st := s.Stats(); st.MemoHits != 0 || st.Completed != 4 {
+		t.Errorf("stats = %+v, want the repeat recomputed after its memo was evicted", st)
 	}
 }
 

@@ -2,7 +2,8 @@
 # serve_smoke.sh — end-to-end smoke of the dpbpd sweep server:
 # start it, submit a small sweep, schema-check the streamed NDJSON and
 # /metrics, and assert the streamed final document is byte-identical to
-# the equivalent `dpbp -format json` CLI run.
+# the equivalent `dpbp -format json` CLI run and the warm repeat's whole
+# stream byte-identical to the first.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -28,7 +29,8 @@ curl -fsS "$URL/healthz" > "$OUT/healthz.json"
 SUB='{"experiment":"table1","benchmarks":["gcc"],"timing_insts":60000,"profile_insts":60000}'
 curl -fsS -N -X POST -H 'Content-Type: application/json' \
     -d "$SUB" "$URL/api/v1/sweeps" > "$OUT/stream.ndjson"
-# Submit again: the repeat must be served warm (checked via /metrics).
+# Submit again: the repeat must be served from the sweep memo (checked
+# via /metrics) and stream the same bytes.
 curl -fsS -N -X POST -H 'Content-Type: application/json' \
     -d "$SUB" "$URL/api/v1/sweeps" > "$OUT/stream2.ndjson"
 curl -fsS "$URL/metrics" > "$OUT/metrics.json"

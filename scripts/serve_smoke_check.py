@@ -2,8 +2,10 @@
 
 Validates the streamed NDJSON event protocol (accepted -> run* ->
 result + raw frame -> done), asserts the final document is byte-identical
-to the CLI's JSON rendering of the same sweep, and checks /healthz and
-/metrics carry the expected counters (including a warm repeat).
+to the CLI's JSON rendering of the same sweep, that the warm repeat's
+whole stream is byte-identical to the first, and checks /healthz and
+/metrics carry the expected counters (the repeat served from the sweep
+memo).
 """
 import json
 import sys
@@ -48,10 +50,13 @@ def main(outdir: str) -> None:
     out = Path(outdir)
     benches = ["gcc"]
 
-    events, doc = parse_stream((out / "stream.ndjson").read_bytes())
+    stream = (out / "stream.ndjson").read_bytes()
+    stream2 = (out / "stream2.ndjson").read_bytes()
+    events, doc = parse_stream(stream)
     check_stream(events, doc, benches)
-    events2, doc2 = parse_stream((out / "stream2.ndjson").read_bytes())
+    events2, doc2 = parse_stream(stream2)
     check_stream(events2, doc2, benches)
+    assert stream2 == stream, "warm repeat's stream differs from the first"
 
     cli = (out / "cli.json").read_bytes()
     assert doc == cli, "streamed document differs from `dpbp -format json`"
@@ -68,14 +73,15 @@ def main(outdir: str) -> None:
     assert c["serve.runs"] == 2 * len(benches), c
     assert c["serve.rejected"] == 0, c
     assert c["runcache.computes"] > 0, c
-    # The repeat sweep must have been served warm: hits at least cover
-    # the second submission's lookups for the shared runs.
+    # The repeat sweep must have been served warm, from the memo the
+    # first sweep left: one lookup, one hit.
+    assert c["serve.memo_hits"] == 1, c
     assert c["runcache.hits"] > 0, c
     assert c["dcache.puts"] > 0, c  # disk tier saw write-through
     print(
         "serve smoke ok:",
         f"{c['serve.completed']} sweeps,",
-        f"{c['runcache.hits']} warm hits,",
+        f"{c['serve.memo_hits']} memo hit,",
         f"{len(doc)} result bytes (byte-identical to CLI)",
     )
 
