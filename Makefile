@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet lint replay-deps test race bench bench-json bench-diff profile fuzz cover serve-smoke serve-bench ci
+.PHONY: all build vet lint replay-deps test race bench profile fuzz cover serve-smoke ci
 
 all: build vet lint test
 
@@ -44,23 +44,11 @@ race:
 	$(GO) test -race -run Determinism .
 	$(GO) test -race -run SMT ./internal/oracle ./cmd/dpbp
 
+# bench runs every go-test benchmark once, for local profiling. It is a
+# developer tool, not a ledger: performance is measured and compared by
+# dpbpbench (see dpbpbench/README.md and BENCHMARK.json).
 bench:
 	$(GO) test -bench . -benchmem -run '^$$' ./...
-
-# bench-json emits the root-package benchmarks (the per-figure experiment
-# benches and the allocation benches) as machine-readable go-test JSON
-# events on stdout, for diffing against BENCH_seed.json.
-BENCHTIME ?= 1x
-bench-json:
-	@$(GO) test -json -bench . -benchmem -benchtime $(BENCHTIME) -run '^$$' .
-
-# bench-diff renders the committed benchmark baselines side by side:
-# ns/op and allocs/op per file, with each column's speedup against the
-# seed. Cross-file ns/op ratios are only trustworthy when the files were
-# captured in the same machine window (see EXPERIMENTS.md).
-BENCH_FILES ?= BENCH_seed.json BENCH_pr3.json BENCH_pr8.json
-bench-diff:
-	@$(GO) run ./cmd/benchfmt $(BENCH_FILES)
 
 # fuzz runs a short smoke of each native fuzz target against the
 # differential oracle (the engine accepts one target per invocation).
@@ -97,12 +85,5 @@ profile:
 # from the sweep memo, byte-identical to the first.
 serve-smoke:
 	bash scripts/serve_smoke.sh
-
-# serve-bench runs a short self-hosted loadgen burst (20 clients x 3
-# sweeps, mixed warm/cold) and writes the throughput/latency report;
-# BENCH_pr9_serve.json is a committed capture of this target.
-SERVE_BENCH_OUT ?= BENCH_pr9_serve.json
-serve-bench:
-	$(GO) run ./cmd/dpbpd -swarm 20 -requests 3 -workers 4 -queue 16 -out $(SERVE_BENCH_OUT)
 
 ci: build vet lint replay-deps test race serve-smoke

@@ -3,7 +3,7 @@
 // cache, so many clients can share one warm server (see internal/serve
 // for the architecture and DESIGN.md §16 for the rationale).
 //
-// Serve mode (default):
+// Usage:
 //
 //	dpbpd [-addr HOST:PORT] [-workers N] [-queue N]
 //	      [-cache-entries N] [-cache-bytes N] [-dcache DIR]
@@ -14,26 +14,16 @@
 // document, byte-identical to `dpbp -format json` for the same sweep),
 // GET /healthz, and GET /metrics. A full queue answers 429 with
 // Retry-After; -dcache makes warm entries survive restarts.
-//
-// Swarm mode (-swarm N) turns the binary into its own load generator:
-// N concurrent clients each submit -requests sweeps of the workload
-// described by -exp/-bench/-insts/-profinsts, mixing warm repeats with
-// cold variants, and the run's throughput/latency percentiles are
-// written as JSON to -out. With -url it drives a running server;
-// without, it starts an in-process one so a single command benchmarks
-// the whole stack.
 package main
 
 import (
 	"context"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"net"
 	"net/http"
 	"os"
 	"os/signal"
-	"strings"
 	"syscall"
 	"time"
 
@@ -41,7 +31,7 @@ import (
 )
 
 func main() {
-	addr := flag.String("addr", "127.0.0.1:8344", "listen address (serve mode)")
+	addr := flag.String("addr", "127.0.0.1:8344", "listen address")
 	workers := flag.Int("workers", 0, "concurrent sweep shards (0 = default)")
 	queue := flag.Int("queue", 0, "queued submissions beyond the in-flight ones (0 = default)")
 	cacheEntries := flag.Int("cache-entries", 0, "in-memory run-cache entry bound (0 = default, negative = unbounded)")
@@ -50,15 +40,6 @@ func main() {
 	jobs := flag.Int("j", 0, "per-sweep parallel benchmark runs (0 = GOMAXPROCS)")
 	runTimeout := flag.Duration("run-timeout", 0, "default per-benchmark-run budget (0 = none)")
 	sweepTimeout := flag.Duration("sweep-timeout", 0, "whole-submission budget (0 = none)")
-
-	swarm := flag.Int("swarm", 0, "swarm mode: drive this many concurrent clients instead of serving")
-	url := flag.String("url", "", "swarm target base URL (empty = start an in-process server)")
-	requests := flag.Int("requests", 3, "swarm: sweeps per client")
-	expName := flag.String("exp", "perfect", "swarm: experiment for the warm workload")
-	bench := flag.String("bench", "comp", "swarm: comma-separated benchmarks for the warm workload")
-	insts := flag.Uint64("insts", 60_000, "swarm: timing-run instruction budget")
-	profInsts := flag.Uint64("profinsts", 60_000, "swarm: profiling-run instruction budget")
-	out := flag.String("out", "", "swarm: write the JSON load report to this file (empty = stdout only)")
 	flag.Parse()
 
 	cfg := serve.Config{
@@ -71,13 +52,7 @@ func main() {
 		RunTimeout:   *runTimeout,
 		SweepTimeout: *sweepTimeout,
 	}
-	var code int
-	if *swarm > 0 {
-		code = runSwarm(cfg, *url, *swarm, *requests, *expName, *bench, *insts, *profInsts, *out)
-	} else {
-		code = runServe(cfg, *addr)
-	}
-	os.Exit(code)
+	os.Exit(runServe(cfg, *addr))
 }
 
 // runServe listens and serves until SIGINT/SIGTERM.
@@ -121,93 +96,4 @@ func runServe(cfg serve.Config, addr string) int {
 		return 1
 	}
 	return 0
-}
-
-// runSwarm drives the load generator, optionally self-hosting the
-// target, and writes the report.
-func runSwarm(cfg serve.Config, url string, clients, requests int,
-	expName, bench string, insts, profInsts uint64, out string) int {
-	if url == "" {
-		s, err := serve.New(cfg)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "dpbpd:", err)
-			return 1
-		}
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "dpbpd:", err)
-			return 1
-		}
-		hs := &http.Server{Handler: s}
-		go func() {
-			if err := hs.Serve(ln); err != nil && err != http.ErrServerClosed {
-				fmt.Fprintln(os.Stderr, "dpbpd:", err)
-			}
-		}()
-		defer func() {
-			if err := hs.Close(); err != nil {
-				fmt.Fprintln(os.Stderr, "dpbpd:", err)
-			}
-			if err := s.Close(); err != nil {
-				fmt.Fprintln(os.Stderr, "dpbpd:", err)
-			}
-		}()
-		url = "http://" + ln.Addr().String()
-		fmt.Printf("dpbpd: swarm target (in-process) %s\n", url)
-	}
-
-	warm := serve.Submission{
-		Experiment:   expName,
-		Benchmarks:   splitBenches(bench),
-		TimingInsts:  insts,
-		ProfileInsts: profInsts,
-	}
-	// Cold variants differ in budget, so they are genuinely uncached on
-	// first sight but deterministic on repeats.
-	var cold []serve.Submission
-	for i := uint64(1); i <= 3; i++ {
-		c := warm
-		c.TimingInsts = insts + i*1_000
-		c.ProfileInsts = profInsts + i*1_000
-		cold = append(cold, c)
-	}
-
-	res, err := serve.RunLoad(context.Background(), serve.LoadOptions{
-		URL: url, Clients: clients, Requests: requests,
-		Warm: warm, Cold: cold, ColdEvery: 3,
-	})
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "dpbpd:", err)
-		return 1
-	}
-	doc, err := json.MarshalIndent(res, "", "  ")
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "dpbpd:", err)
-		return 1
-	}
-	doc = append(doc, '\n')
-	if out != "" {
-		if err := os.WriteFile(out, doc, 0o644); err != nil {
-			fmt.Fprintln(os.Stderr, "dpbpd:", err)
-			return 1
-		}
-	}
-	fmt.Printf("%s", doc)
-	fmt.Printf("dpbpd: swarm %d clients x %d requests: %d completed, %d failed, %d retried (429), hit rate %.3f\n",
-		res.Clients, res.Requests, res.Completed, res.Failed, res.Retried429, res.CacheHitRate)
-	if res.Failed > 0 {
-		return 1
-	}
-	return 0
-}
-
-// splitBenches splits the -bench list, dropping empties.
-func splitBenches(s string) []string {
-	var out []string
-	for _, p := range strings.Split(s, ",") {
-		if p = strings.TrimSpace(p); p != "" {
-			out = append(out, p)
-		}
-	}
-	return out
 }

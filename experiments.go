@@ -70,29 +70,29 @@ type RunError = results.RunError
 type (
 	// Table1Result holds unique-path counts, average scopes, and
 	// difficult-path counts (paper Table 1).
-	Table1Result = exp.Table1Result
+	Table1Result = results.Table1Result
 	// Table2Result holds misprediction/execution coverages for
 	// difficult branches vs difficult paths (paper Table 2).
-	Table2Result = exp.Table2Result
+	Table2Result = results.Table2Result
 	// Figure6Result holds potential speed-ups from perfect
 	// difficult-path prediction (paper Figure 6).
-	Figure6Result = exp.Figure6Result
+	Figure6Result = results.Figure6Result
 	// Figure7Result holds realistic speed-ups with/without pruning and
 	// overhead-only (paper Figure 7).
-	Figure7Result = exp.Figure7Result
+	Figure7Result = results.Figure7Result
 	// Figure8Result holds average routine sizes and dependence chains
 	// (paper Figure 8).
-	Figure8Result = exp.Figure8Result
+	Figure8Result = results.Figure8Result
 	// Figure9Result holds prediction-timeliness breakdowns (paper
 	// Figure 9).
-	Figure9Result = exp.Figure9Result
+	Figure9Result = results.Figure9Result
 	// PerfectResult holds the Section 1 perfect-prediction bound.
-	PerfectResult = exp.PerfectResult
+	PerfectResult = results.PerfectResult
 	// ProfileGuidedResult holds the profile-guided-promotion extension
 	// experiment (the paper's future work).
-	ProfileGuidedResult = exp.ProfileGuidedResult
+	ProfileGuidedResult = results.ProfileGuidedResult
 	// Figure7Runs bundles the shared runs behind Figures 7-9.
-	Figure7Runs = exp.Figure7Runs
+	Figure7Runs = results.Figure7Runs
 )
 
 // Output formats accepted by Render.
@@ -171,7 +171,7 @@ func Figure8FromRuns(runs []Figure7Runs) *Figure8Result { return exp.Figure8From
 func Figure9FromRuns(runs []Figure7Runs) *Figure9Result { return exp.Figure9FromRuns(runs) }
 
 // AblationResult holds the design-choice ablation study.
-type AblationResult = exp.AblationResult
+type AblationResult = results.AblationResult
 
 // Ablations runs the design-choice ablation study from DESIGN.md §5.
 func Ablations(ctx context.Context, o ExperimentOptions) (*AblationResult, error) {
@@ -181,7 +181,7 @@ func Ablations(ctx context.Context, o ExperimentOptions) (*AblationResult, error
 // ShootoutResult holds the predictor-backend arena: per benchmark, IPC,
 // speedup over the hybrid baseline, and misprediction rate for every
 // contending configuration.
-type ShootoutResult = exp.ShootoutResult
+type ShootoutResult = results.ShootoutResult
 
 // Shootout pits the predictor backends (hybrid, TAGE, H2P side
 // predictor) against the microthread machinery, including an H2P-gated
@@ -194,7 +194,7 @@ func Shootout(ctx context.Context, o ExperimentOptions) (*ShootoutResult, error)
 // co-scheduled as primary contexts, per-context IPC and difficult-path
 // coverage vs solo, and contended-spawn denial rates, under private and
 // shared structure variants.
-type SMTExperimentResult = exp.SMTResult
+type SMTExperimentResult = results.SMTResult
 
 // SMTStudy runs the SMT interference study. ExperimentOptions.SMT, when
 // it carries contexts, overrides the canned mix list, fetch policy, and

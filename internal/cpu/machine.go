@@ -411,10 +411,7 @@ func (m *Machine) stepOne(rs *runState) bool {
 	m.res.Insts++
 	m.execute(&rs.rec, fc, pi)
 	if m.cfg.OnRetire != nil {
-		m.cfg.OnRetire(&rs.rec)
-	}
-	if m.cfg.OnRetireCtx != nil {
-		m.cfg.OnRetireCtx(int(m.ctxID), &rs.rec)
+		m.cfg.OnRetire(int(m.ctxID), &rs.rec)
 	}
 	if rs.expire && rs.rec.Seq%64 == 0 {
 		m.predCache.Expire(m.ctxID, rs.rec.Seq)

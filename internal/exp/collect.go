@@ -105,7 +105,7 @@ func Collect(ctx context.Context, name string, o Options) ([]results.Section, er
 			return nil, err
 		}
 		out = append(out,
-			results.Section{Key: "figure7", Val: &Figure7Result{Runs: runs, Errors: runErrs}},
+			results.Section{Key: "figure7", Val: &results.Figure7Result{Runs: runs, Errors: runErrs}},
 			results.Section{Key: "figure8", Val: Figure8FromRuns(runs)},
 			results.Section{Key: "figure9", Val: Figure9FromRuns(runs)})
 		return out, nil

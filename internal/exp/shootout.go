@@ -9,9 +9,6 @@ import (
 	"dpbp/internal/results"
 )
 
-// ShootoutResult re-exports the typed result.
-type ShootoutResult = results.ShootoutResult
-
 // shootoutConfigs enumerates the arena's contenders. The first entry is
 // the reference (the Table 3 baseline machine with the hybrid
 // predictor); every speedup in the table is relative to it. Mutators

@@ -13,9 +13,6 @@ import (
 	"dpbp/internal/synth"
 )
 
-// SMTResult re-exports the typed result.
-type SMTResult = results.SMTResult
-
 // defaultSMTMixes is the canned interference matrix: a homogeneous
 // branchy pair (self-interference under one spawn budget), a
 // branchy+loopy mix (asymmetric spawn pressure), and two spawn-heavy

@@ -14,22 +14,6 @@ var Thresholds = []float64{0.05, 0.10, 0.15}
 // PathLengths are the path lengths of Tables 1 and 2 and Figure 6.
 var PathLengths = []int{4, 10, 16}
 
-// Result types are defined in internal/results; the aliases keep the
-// experiment entry points and their return types importable from one
-// package.
-type (
-	Table1Result        = results.Table1Result
-	Table2Result        = results.Table2Result
-	Figure6Result       = results.Figure6Result
-	Figure7Runs         = results.Figure7Runs
-	Figure7Result       = results.Figure7Result
-	Figure8Result       = results.Figure8Result
-	Figure9Result       = results.Figure9Result
-	PerfectResult       = results.PerfectResult
-	ProfileGuidedResult = results.ProfileGuidedResult
-	AblationResult      = results.AblationResult
-)
-
 // table1Cells normalises the profiler's per-n rows (threshold map keyed
 // by T) into cells whose Difficult slice is parallel to Thresholds.
 func table1Cells(rows []pathprof.Table1Row) []results.Table1Cell {

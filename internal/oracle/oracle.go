@@ -168,7 +168,7 @@ func verifyOne(prog *program.Program, nc NamedConfig, opts Options) (*runSummary
 	ref := emu.New(prog)
 	var refRec emu.Record
 	var div *Divergence
-	cfg.OnRetire = func(rec *emu.Record) {
+	cfg.OnRetire = func(_ int, rec *emu.Record) {
 		if div != nil {
 			return
 		}

@@ -1,6 +1,6 @@
 // SMT differential verification: the multi-primary-context analogue of
 // Verify. Each primary context gets its own lockstep reference emulator
-// fed from the timing core's OnRetireCtx hook, so co-runners may change
+// fed from the timing core's OnRetire hook, so co-runners may change
 // each other's *timing* arbitrarily but never each other's architecture:
 // every context must retire exactly the stream its solo reference
 // produces, end with its reference's register file and memory image, and
@@ -66,7 +66,7 @@ func VerifySMT(progs []*program.Program, cfg cpu.Config, opts SMTOptions) error 
 		}
 	}
 	var div *Divergence
-	cfg.OnRetireCtx = func(ctxID int, rec *emu.Record) {
+	cfg.OnRetire = func(ctxID int, rec *emu.Record) {
 		if div != nil {
 			return
 		}
@@ -155,7 +155,7 @@ func VerifySMT(progs []*program.Program, cfg cpu.Config, opts SMTOptions) error 
 	if k == 1 {
 		solo := cfg
 		solo.SMT = cpu.SMTConfig{}
-		solo.OnRetireCtx = nil
+		solo.OnRetire = nil
 		solo.Obs = nil
 		want := cpu.Run(progs[0], solo)
 		if !reflect.DeepEqual(want, res.Contexts[0]) {

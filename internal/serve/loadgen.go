@@ -8,29 +8,8 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"sort"
-	"sync"
 	"time"
 )
-
-// LoadOptions drives a loadgen swarm against a running dpbpd: Clients
-// concurrent clients each submit Requests sweeps, mixing one warm
-// submission (repeated, so it should hit the shared cache) with cold
-// variants (distinct budgets, so they compute fresh). 429 responses are
-// retried after the server's Retry-After hint — admission control sheds
-// load, it must not lose it.
-type LoadOptions struct {
-	// URL is the server base, e.g. "http://127.0.0.1:8344".
-	URL string
-	// Clients is the swarm width; Requests the sweeps per client.
-	Clients  int
-	Requests int
-	// Warm is the repeated submission; Cold, when non-empty, is cycled
-	// through for every ColdEvery-th request (0 disables cold traffic).
-	Warm      Submission
-	Cold      []Submission
-	ColdEvery int
-}
 
 // LoadStream is one parsed sweep response: the events counted, the
 // final document, and integrity checks a correct server must pass.
@@ -39,88 +18,6 @@ type LoadStream struct {
 	Doc      []byte
 	Duped    bool // some benchmark streamed twice
 	Complete bool // done event observed
-}
-
-// LoadResult is the swarm's aggregate, written as BENCH_pr9_serve.json
-// by dpbpd -swarm.
-type LoadResult struct {
-	Clients  int `json:"clients"`
-	Requests int `json:"requests_per_client"`
-	// Completed counts sweeps that streamed a full document; Failed the
-	// ones that errored or returned an incomplete/duplicated stream;
-	// Retried429 the admission rejections absorbed by retry.
-	Completed  int `json:"completed"`
-	Failed     int `json:"failed"`
-	Retried429 int `json:"retried_429"`
-	// Runs totals the per-benchmark partial results streamed.
-	Runs int `json:"runs"`
-	// DurationMS spans first submission to last completion.
-	DurationMS    float64 `json:"duration_ms"`
-	ThroughputRPS float64 `json:"throughput_rps"`
-	// Latency percentiles over completed sweeps, in milliseconds.
-	LatencyP50MS float64 `json:"latency_p50_ms"`
-	LatencyP90MS float64 `json:"latency_p90_ms"`
-	LatencyP99MS float64 `json:"latency_p99_ms"`
-	LatencyMaxMS float64 `json:"latency_max_ms"`
-	// CacheHitRate is hits/lookups from the server's /metrics after the
-	// burst (warm traffic should push it toward 1).
-	CacheHitRate float64 `json:"cache_hit_rate"`
-}
-
-// RunLoad executes the swarm and aggregates the outcome. The returned
-// error reports infrastructure failure (unreachable server); per-sweep
-// failures land in LoadResult.Failed.
-func RunLoad(ctx context.Context, o LoadOptions) (*LoadResult, error) {
-	if o.Clients <= 0 || o.Requests <= 0 {
-		return nil, fmt.Errorf("serve: loadgen needs positive Clients and Requests")
-	}
-	client := &http.Client{}
-	var (
-		mu        sync.Mutex
-		latencies []float64
-		res       = &LoadResult{Clients: o.Clients, Requests: o.Requests}
-	)
-	start := time.Now()
-	var wg sync.WaitGroup
-	for c := 0; c < o.Clients; c++ {
-		wg.Add(1)
-		go func(c int) {
-			defer wg.Done()
-			for i := 0; i < o.Requests; i++ {
-				sub := o.Warm
-				if o.ColdEvery > 0 && len(o.Cold) > 0 && i%o.ColdEvery == o.ColdEvery-1 {
-					sub = o.Cold[(c*o.Requests+i)%len(o.Cold)]
-				}
-				t0 := time.Now()
-				stream, retries, err := SubmitSweep(ctx, client, o.URL, sub)
-				lat := float64(time.Since(t0).Microseconds()) / 1e3
-				mu.Lock()
-				res.Retried429 += retries
-				if err != nil || !stream.Complete || stream.Duped {
-					res.Failed++
-				} else {
-					res.Completed++
-					res.Runs += stream.Runs
-					latencies = append(latencies, lat)
-				}
-				mu.Unlock()
-			}
-		}(c)
-	}
-	wg.Wait()
-	res.DurationMS = float64(time.Since(start).Microseconds()) / 1e3
-	if res.DurationMS > 0 {
-		res.ThroughputRPS = float64(res.Completed) / (res.DurationMS / 1e3)
-	}
-	sort.Float64s(latencies)
-	res.LatencyP50MS = percentile(latencies, 0.50)
-	res.LatencyP90MS = percentile(latencies, 0.90)
-	res.LatencyP99MS = percentile(latencies, 0.99)
-	if n := len(latencies); n > 0 {
-		res.LatencyMaxMS = latencies[n-1]
-	}
-	res.CacheHitRate = fetchHitRate(ctx, client, o.URL)
-	return res, nil
 }
 
 // SubmitSweep posts one submission and consumes the whole event stream,
@@ -222,39 +119,4 @@ func ParseStream(r io.Reader) (*LoadStream, error) {
 			return out, fmt.Errorf("serve: sweep error: %s", ev.Error)
 		}
 	}
-}
-
-// percentile reads the q-quantile from an ascending sample (0 when
-// empty).
-func percentile(sorted []float64, q float64) float64 {
-	if len(sorted) == 0 {
-		return 0
-	}
-	i := int(q * float64(len(sorted)-1))
-	return sorted[i]
-}
-
-// fetchHitRate reads hits/lookups from /metrics (0 on any failure — the
-// burst report is best-effort about the server's internals).
-func fetchHitRate(ctx context.Context, client *http.Client, baseURL string) float64 {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, baseURL+"/metrics", nil)
-	if err != nil {
-		return 0
-	}
-	resp, err := client.Do(req)
-	if err != nil {
-		return 0
-	}
-	defer func() { _ = resp.Body.Close() }()
-	var doc struct {
-		Counters map[string]uint64 `json:"counters"`
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&doc); err != nil {
-		return 0
-	}
-	lookups := doc.Counters["runcache.lookups"]
-	if lookups == 0 {
-		return 0
-	}
-	return float64(doc.Counters["runcache.hits"]) / float64(lookups)
 }

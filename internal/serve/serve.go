@@ -54,6 +54,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"net/http"
 	"sync"
 	"time"
@@ -258,10 +259,19 @@ func (sub Submission) normalized() Submission {
 	return sub
 }
 
+// maxRunTimeoutMS is the largest run_timeout_ms whose Duration does not
+// overflow; a wrapped value would replace the server's per-run budget
+// with a non-positive one, which the scheduler reads as "no limit".
+const maxRunTimeoutMS = math.MaxInt64 / int64(time.Millisecond)
+
 // validate rejects unknown experiment, benchmark, and backend names,
-// benchmarks listed twice, out-of-range predictor sizes, and over-bound
-// instruction budgets before the sweep is admitted.
+// benchmarks listed twice, out-of-range predictor sizes, over-bound
+// instruction budgets, and run timeouts that are negative or overflow
+// a time.Duration before the sweep is admitted.
 func (sub Submission) validate() error {
+	if sub.RunTimeoutMS < 0 || sub.RunTimeoutMS > maxRunTimeoutMS {
+		return fmt.Errorf("run_timeout_ms %d out of range [0, %d]", sub.RunTimeoutMS, maxRunTimeoutMS)
+	}
 	if !exp.ValidExperiment(sub.Experiment) {
 		return fmt.Errorf("unknown experiment %q (have %v)", sub.Experiment, exp.ExperimentNames())
 	}

@@ -10,6 +10,7 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -333,6 +334,12 @@ func TestBadSubmission(t *testing.T) {
 		// long as they ran.
 		{"oversized timing budget", `{"experiment":"fig6","timing_insts":4294967297}`},
 		{"oversized profile budget", `{"experiment":"table1","profile_insts":1073741825}`},
+		// A negative run timeout was silently ignored; an overflowing
+		// one wrapped to a non-positive Duration and switched the
+		// server's per-run budget off.
+		{"negative run timeout", `{"experiment":"table1","run_timeout_ms":-1}`},
+		{"run timeout wraps negative", `{"experiment":"table1","run_timeout_ms":9223372036855}`},
+		{"run timeout wraps to zero", `{"experiment":"table1","run_timeout_ms":4611686018427387904}`},
 	}
 	for _, tc := range cases {
 		if got := post(tc.body); got != http.StatusBadRequest {
@@ -373,7 +380,21 @@ func TestHealthzAndMetrics(t *testing.T) {
 		t.Errorf("healthz = %+v", health)
 	}
 
-	resp, err = ts.Client().Get(ts.URL + "/metrics")
+	counters := metricsCounters(t, ts)
+	for _, key := range []string{"serve.submitted", "serve.completed", "serve.runs", "runcache.lookups", "runcache.computes", "dcache.puts"} {
+		if counters[key] == 0 {
+			t.Errorf("metrics counter %q is zero after a completed sweep (have %v)", key, nonZeroKeys(counters))
+		}
+	}
+	if _, ok := counters["serve.queue_cap"]; !ok {
+		t.Error("metrics missing serve.queue_cap gauge")
+	}
+}
+
+// metricsCounters fetches the counters of the server's /metrics.
+func metricsCounters(t *testing.T, ts *httptest.Server) map[string]uint64 {
+	t.Helper()
+	resp, err := ts.Client().Get(ts.URL + "/metrics")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -384,41 +405,45 @@ func TestHealthzAndMetrics(t *testing.T) {
 	if err := json.NewDecoder(resp.Body).Decode(&doc); err != nil {
 		t.Fatal(err)
 	}
-	for _, key := range []string{"serve.submitted", "serve.completed", "serve.runs", "runcache.lookups", "runcache.computes", "dcache.puts"} {
-		if doc.Counters[key] == 0 {
-			t.Errorf("metrics counter %q is zero after a completed sweep (have %v)", key, nonZeroKeys(doc.Counters))
-		}
-	}
-	if _, ok := doc.Counters["serve.queue_cap"]; !ok {
-		t.Error("metrics missing serve.queue_cap gauge")
-	}
+	return doc.Counters
 }
 
-// TestLoadSwarm runs a small in-process swarm through the public loadgen
-// and asserts nothing is dropped or duplicated and the warm traffic
-// lands in the cache.
+// TestLoadSwarm runs a small swarm of concurrent clients over a
+// warm/cold mix and asserts nothing is dropped or duplicated and the
+// warm traffic lands in the cache.
 func TestLoadSwarm(t *testing.T) {
 	_, ts := newTestServer(t, Config{Workers: 2, QueueDepth: 8})
 	warm := tinySub("perfect", "comp")
 	cold := []Submission{tinySub("perfect", "gcc"), tinySub("perfect", "go")}
-	res, err := RunLoad(context.Background(), LoadOptions{
-		URL: ts.URL, Clients: 4, Requests: 3,
-		Warm: warm, Cold: cold, ColdEvery: 3,
-	})
-	if err != nil {
-		t.Fatal(err)
+	const clients, requests = 4, 3
+	var wg sync.WaitGroup
+	for c := 0; c < clients; c++ {
+		wg.Add(1)
+		go func(c int) {
+			defer wg.Done()
+			for i := 0; i < requests; i++ {
+				sub := warm
+				if i%3 == 2 { // every third sweep is cold
+					sub = cold[(c*requests+i)%len(cold)]
+				}
+				stream, _, err := SubmitSweep(context.Background(), ts.Client(), ts.URL, sub)
+				if err != nil {
+					t.Errorf("client %d sweep %d: %v", c, i, err)
+					continue
+				}
+				if !stream.Complete || stream.Duped {
+					t.Errorf("client %d sweep %d: complete=%v duped=%v", c, i, stream.Complete, stream.Duped)
+				}
+				if stream.Runs != 1 { // every submission here is single-benchmark
+					t.Errorf("client %d sweep %d: %d runs streamed, want 1", c, i, stream.Runs)
+				}
+			}
+		}(c)
 	}
-	if res.Failed != 0 {
-		t.Fatalf("swarm failed sweeps: %+v", res)
-	}
-	if want := 4 * 3; res.Completed != want {
-		t.Errorf("completed = %d, want %d", res.Completed, want)
-	}
-	if res.Runs != res.Completed { // every submission here is single-benchmark
-		t.Errorf("runs = %d, want %d (zero dropped/duplicated)", res.Runs, res.Completed)
-	}
-	if res.CacheHitRate == 0 {
-		t.Error("warm swarm recorded zero cache hit rate")
+	wg.Wait()
+	counters := metricsCounters(t, ts)
+	if counters["serve.memo_hits"] == 0 && counters["runcache.hits"] == 0 {
+		t.Errorf("warm swarm recorded no cache hits (have %v)", nonZeroKeys(counters))
 	}
 }
 
