@@ -35,12 +35,12 @@ replay-deps:
 
 # race covers the packages where concurrency lives (the scheduler, the
 # experiment fan-out, the timing core — SMT suites included — the trace
-# collector, the run cache's single flight, waiters and eviction, and the
-# dpbpd sweep server) plus the root-package determinism regression
-# tests, which drive the fan-out end to end, and the oracle's SMT
-# differential wall.
+# collector, the run cache's single flight, waiters and eviction, the
+# dpbpd sweep server, and the programs' shared lazy decode and
+# fingerprint) plus the root-package determinism regression tests, which
+# drive the fan-out end to end, and the oracle's SMT differential wall.
 race:
-	$(GO) test -race ./internal/sched/... ./internal/exp/... ./internal/cpu/... ./internal/obs/... ./internal/runcache/... ./internal/serve/...
+	$(GO) test -race ./internal/sched/... ./internal/exp/... ./internal/cpu/... ./internal/obs/... ./internal/runcache/... ./internal/serve/... ./internal/program/...
 	$(GO) test -race -run Determinism .
 	$(GO) test -race -run SMT ./internal/oracle ./cmd/dpbp
 

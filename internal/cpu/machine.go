@@ -96,8 +96,8 @@ type Machine struct {
 	lastRet  uint64
 	retCount int
 
-	// decode[pc] is the static decode of Code[pc] (see pcInfo).
-	decode []pcInfo
+	// decode is the program's shared, read-only Decoded table.
+	decode []isa.Decoded
 
 	// Front-end state.
 	fc           uint64
@@ -299,7 +299,7 @@ func (m *Machine) Reset(prog *program.Program, cfg Config) {
 		clear(m.retRing)
 	}
 	m.retMask = uint64(ringLen - 1)
-	m.decode = decodeProgram(m.decode, prog.Code)
+	m.decode = prog.Decoded()
 	m.lastRet = 0
 	m.retCount = 0
 
@@ -369,8 +369,8 @@ type runState struct {
 
 // beginRun initializes rs at the emulator's position. Must follow Reset;
 // pc and seq track the fetch point locally — after each record they are
-// rec.NextPC and rec.Seq+1 — so the run loop pays one emulator call per
-// instruction (Step) instead of four.
+// rec.NextPC and rec.Seq+1 — so the run loop asks the emulator only to
+// Step and whether it Halted, not for its PC and Seq too.
 func (m *Machine) beginRun(rs *runState) {
 	rs.pc, rs.seq = m.em.PC(), m.em.Seq()
 	rs.halted = m.em.Halted()
@@ -378,15 +378,13 @@ func (m *Machine) beginRun(rs *runState) {
 }
 
 // stepOne fetches, executes, and retires the machine's next primary
-// instruction. It returns false when the emulator has halted; the halt
-// idiom (an unconditional self-jump) turns rs.halted true instead,
-// exactly when the emulator's Halted would. The operation order is the
-// single-thread run loop's, unchanged — RunContext is a straight
-// loop over stepOne, which is what keeps solo runs and 1-context SMT
-// runs bit-identical to the pre-SMT machine.
+// instruction. It returns false when the emulator has halted; retiring
+// the halt idiom sets rs.halted instead. RunContext is a straight loop
+// over stepOne, which is what keeps solo runs and 1-context SMT runs
+// bit-identical to the pre-SMT machine.
 func (m *Machine) stepOne(rs *runState) bool {
-	pi := m.decode[rs.pc]
-	fc := m.fetchCycleFor(rs.pc, pi.has(piBranch), rs.seq)
+	d := &m.decode[rs.pc]
+	fc := m.fetchCycleFor(rs.pc, d.Branch, rs.seq)
 	if m.obs != nil {
 		// Stamp subsequent events (including the Path Cache's, which
 		// has no clock of its own) with this instruction's fetch cycle
@@ -409,14 +407,14 @@ func (m *Machine) stepOne(rs *runState) bool {
 		return false
 	}
 	m.res.Insts++
-	m.execute(&rs.rec, fc, pi)
+	m.execute(&rs.rec, fc, d)
 	if m.cfg.OnRetire != nil {
 		m.cfg.OnRetire(int(m.ctxID), &rs.rec)
 	}
 	if rs.expire && rs.rec.Seq%64 == 0 {
 		m.predCache.Expire(m.ctxID, rs.rec.Seq)
 	}
-	rs.halted = rs.rec.Inst.Op == isa.OpJmp && rs.rec.NextPC == rs.rec.PC
+	rs.halted = m.em.Halted()
 	rs.pc, rs.seq = rs.rec.NextPC, rs.rec.Seq+1
 	return true
 }
@@ -595,33 +593,33 @@ func (m *Machine) redirect(at uint64) {
 // execute models one fetched-and-retired primary instruction: scheduling,
 // branch prediction and redirects, microthread monitoring, and the
 // retirement-side structures (predictor training, PRB, Path Cache,
-// builder). pi is the static decode of rec.PC.
-func (m *Machine) execute(rec *emu.Record, fc uint64, pi pcInfo) {
+// builder). d is the static decode of rec.PC.
+func (m *Machine) execute(rec *emu.Record, fc uint64, d *isa.Decoded) {
 	cfg := &m.cfg
 
 	// Rename and operand readiness.
 	ready := fc + uint64(cfg.FrontLatency)
-	for i := 0; i < int(rec.NSrc); i++ {
-		if r := rec.SrcReg[i]; r != isa.RZero && m.regReady[r] > ready {
+	for _, r := range d.Src[:d.NSrc] {
+		if r != isa.RZero && m.regReady[r] > ready {
 			ready = m.regReady[r]
 		}
 	}
 
 	// Issue and completion.
 	var complete uint64
-	switch {
-	case pi.has(piLoad):
+	switch d.Kind {
+	case isa.KindLoad:
 		issue := earliest2(m.fus, m.ports, ready)
 		complete = issue + uint64(m.msys.LoadLatency(rec.EA, issue))
-	case pi.has(piStore):
+	case isa.KindStore:
 		issue := m.fus.earliest(ready)
 		complete = issue + uint64(m.msys.StoreLatency(rec.EA, issue))
 	default:
 		issue := m.fus.earliest(ready)
-		complete = issue + uint64(pi.lat)
+		complete = issue + uint64(d.Lat)
 	}
-	if pi.has(piWrites) {
-		m.regReady[pi.dst] = complete
+	if d.Writes {
+		m.regReady[d.Dst] = complete
 	}
 	retC := m.retire(complete)
 	m.retRing[rec.Seq&m.retMask] = retC
@@ -634,13 +632,13 @@ func (m *Machine) execute(rec *emu.Record, fc uint64, pi pcInfo) {
 	// computes it on demand.
 	usesMicro := cfg.Mode == ModeMicrothread || cfg.Mode == ModePerfectPromoted
 	var termID path.ID
-	if usesMicro && pi.has(piTerm) {
+	if usesMicro && d.Term {
 		termID = m.tracker.ID(rec.PC)
 	}
 
 	var hwMiss bool
-	if pi.has(piBranch) {
-		hwMiss = m.handleBranch(rec, fc, complete, termID, pi)
+	if d.Branch {
+		hwMiss = m.handleBranch(rec, fc, complete, termID, d)
 	}
 
 	// Only three kinds of record can change a microcontext: one at or
@@ -648,12 +646,12 @@ func (m *Machine) execute(rec *emu.Record, fc uint64, pi pcInfo) {
 	// check), and a taken branch under Path_History aborts. Every other
 	// record skips the scan.
 	if cfg.Mode == ModeMicrothread && m.activeCtxs > 0 &&
-		(rec.Seq >= m.nextTarget || pi.has(piStore) || (rec.Taken && cfg.AbortEnabled)) {
-		m.monitorContexts(rec, fc, pi)
+		(rec.Seq >= m.nextTarget || d.Kind == isa.KindStore || (rec.Taken && cfg.AbortEnabled)) {
+		m.monitorContexts(rec, fc, d)
 	}
 
 	if usesMicro {
-		m.retireSide(rec, retC, termID, hwMiss, pi)
+		m.retireSide(rec, retC, termID, hwMiss, d)
 	}
 
 	// Path identity and Path_History feed only the microthreaded modes
@@ -669,17 +667,17 @@ func (m *Machine) execute(rec *emu.Record, fc uint64, pi pcInfo) {
 // handleBranch performs fetch-time prediction (hardware, oracle, or
 // microthread), resolves it against the actual outcome, and schedules any
 // redirect. It returns whether the hardware predictor mispredicted.
-func (m *Machine) handleBranch(rec *emu.Record, fc, resolve uint64, termID path.ID, pi pcInfo) bool {
+func (m *Machine) handleBranch(rec *emu.Record, fc, resolve uint64, termID path.ID, d *isa.Decoded) bool {
 	cfg := &m.cfg
 	pr := m.pred.Predict(rec.PC, rec.Inst)
 	hwMiss := m.pred.Update(rec.PC, rec.Inst, pr, rec.Taken, rec.NextPC)
 
 	hwNext := pr.Target
-	if pi.has(piCond) && !pr.Taken {
+	if d.Kind == isa.KindCond && !pr.Taken {
 		hwNext = rec.PC + 1
 	}
 
-	if !pi.has(piTerm) {
+	if !d.Term {
 		// Direct jumps and calls never mispredict; returns can (RAS
 		// exhaustion) and cost a full redirect.
 		if hwMiss {
@@ -707,7 +705,7 @@ func (m *Machine) handleBranch(rec *emu.Record, fc, resolve uint64, termID path.
 		if cfg.UsePredictions {
 			if e, ok := m.predCache.Consume(m.ctxID, termID, rec.Seq); ok {
 				eNext := e.Target
-				if pi.has(piCond) && !e.Taken {
+				if d.Kind == isa.KindCond && !e.Taken {
 					eNext = rec.PC + 1
 				}
 				switch {
@@ -800,7 +798,7 @@ func (m *Machine) handleBranch(rec *emu.Record, fc, resolve uint64, termID path.
 // retireSide models the back-end structures fed by the retirement stream:
 // value/address predictor training, the PRB, the Path Cache with its
 // promotion/demotion logic, and the Microthread Builder.
-func (m *Machine) retireSide(rec *emu.Record, retC uint64, termID path.ID, hwMiss bool, pi pcInfo) {
+func (m *Machine) retireSide(rec *emu.Record, retC uint64, termID path.ID, hwMiss bool, d *isa.Decoded) {
 	cfg := &m.cfg
 
 	usesMicro := cfg.Mode == ModeMicrothread || cfg.Mode == ModePerfectPromoted
@@ -814,16 +812,16 @@ func (m *Machine) retireSide(rec *emu.Record, retC uint64, termID path.ID, hwMis
 	// that mode skips the whole retirement side channel.
 	if cfg.Mode == ModeMicrothread {
 		var vconf, aconf bool
-		if pi.has(piWrites) {
+		if d.Writes {
 			vconf = m.vp.TrainConfident(rec.PC, rec.DstVal, rec.Seq)
 		}
-		if pi.has(piLoad) {
+		if d.Kind == isa.KindLoad {
 			aconf = m.ap.TrainConfident(rec.PC, rec.SrcVal[0], rec.Seq)
 		}
 		m.prb.PushRec(rec, vconf, aconf)
 	}
 
-	if !pi.has(piTerm) || !m.tracker.Full() {
+	if !d.Term || !m.tracker.Full() {
 		return
 	}
 

@@ -319,11 +319,10 @@ func (m *Machine) wrongPathSpawns(start isa.Addr, seq uint64, fc uint64) {
 		m.trySpawns(pc, seq, fc)
 		m.res.Micro.WrongPathAttempts += m.res.Micro.AttemptedSpawns - before
 
-		in := m.prog.At(pc)
-		switch {
-		case in.Op == isa.OpJmp, in.Op == isa.OpCall:
-			pc = in.Target
-		case in.IsBranch():
+		switch m.decode[pc].Kind {
+		case isa.KindJmp, isa.KindCall:
+			pc = m.prog.Code[pc].Target
+		case isa.KindCond, isa.KindJmpInd, isa.KindRet:
 			return // direction or target unknowable on the wrong path
 		default:
 			pc++
@@ -336,11 +335,11 @@ func (m *Machine) wrongPathSpawns(start isa.Addr, seq uint64, fc uint64) {
 // the target branch, and the Path_History abort check on taken branches.
 //
 //dpbp:speculative
-func (m *Machine) monitorContexts(rec *emu.Record, fc uint64, pi pcInfo) {
+func (m *Machine) monitorContexts(rec *emu.Record, fc uint64, d *isa.Decoded) {
 	// The record's properties are loop-invariant; evaluate them once,
 	// not per active context.
-	isStore := pi.has(piStore)
-	abortable := m.cfg.AbortEnabled && rec.Taken && pi.has(piBranch)
+	isStore := d.Kind == isa.KindStore
+	abortable := m.cfg.AbortEnabled && rec.Taken && d.Branch
 	for w, bw := range m.activeBits {
 		for bw != 0 {
 			i := w*64 + bits.TrailingZeros64(bw)

@@ -120,13 +120,8 @@ type Record struct {
 	// non-branches.
 	Taken bool
 	// SrcVal holds the values of the source registers, in ReadsInto
-	// order.
+	// order (the names are the PC's isa.Decoded.Src).
 	SrcVal [2]isa.Word
-	// SrcReg holds the NSrc source register names, in ReadsInto order,
-	// so consumers need not re-derive them from Inst.
-	SrcReg [2]isa.Reg
-	// NSrc is the number of source registers the instruction reads.
-	NSrc uint8
 	// DstVal is the value written to the destination register, if any.
 	DstVal isa.Word
 	// EA is the effective address for loads and stores.
@@ -139,87 +134,24 @@ type Machine struct {
 	Regs [isa.NumRegs]isa.Word
 	Mem  *Memory
 
-	// meta and code cache each static instruction's decode (ReadsInto
-	// and the execution-kind classification are pure functions of the
-	// instruction), so Step pays table reads per dynamic instruction
-	// instead of decode switches.
-	meta []instMeta //dpbp:reset-skip rebuilt by indexProg, which Reset calls
-	code []isa.Inst //dpbp:reset-skip rebuilt by indexProg, which Reset calls
+	// code and dec are Prog.Code and Prog.Decoded(), held so Step pays
+	// table reads per dynamic instruction instead of decode switches.
+	code []isa.Inst
+	dec  []isa.Decoded
 
 	pc     isa.Addr
 	seq    uint64
 	halted bool
 }
 
-// instMeta is the per-PC decode cache: the source registers an
-// instruction reads (zero-padded past nsrc) and the execution kind.
-type instMeta struct {
-	src  [2]isa.Reg
-	nsrc uint8
-	kind uint8
-}
-
-// Execution kinds, mirroring the mutually-exclusive cases of Step's
-// dispatch in its original test order.
-const (
-	kALU uint8 = iota
-	kLoad
-	kStore
-	kCond
-	kJmp
-	kJmpInd
-	kCall
-	kRet
-	kBad // unexecutable in primary code; Step panics
-)
-
-// kindOf classifies one instruction for Step's dispatch.
-func kindOf(in isa.Inst) uint8 {
-	switch {
-	case isa.IsALU(in.Op):
-		return kALU
-	case in.Op == isa.OpLoad:
-		return kLoad
-	case in.Op == isa.OpStore:
-		return kStore
-	case in.IsCondBranch():
-		return kCond
-	case in.Op == isa.OpJmp:
-		return kJmp
-	case in.Op == isa.OpJmpInd:
-		return kJmpInd
-	case in.Op == isa.OpCall:
-		return kCall
-	case in.Op == isa.OpRet:
-		return kRet
-	}
-	return kBad
-}
-
 // New creates a machine with the program loaded: data image installed,
 // SP/GP initialised by the program's own prologue, PC at the entry point.
 func New(p *program.Program) *Machine {
-	m := &Machine{Prog: p, Mem: NewMemory(), pc: p.Entry}
+	m := &Machine{Prog: p, Mem: NewMemory(), pc: p.Entry, code: p.Code, dec: p.Decoded()}
 	for i, w := range p.Data {
 		m.Mem.Store(p.DataBase+isa.Addr(i), w)
 	}
-	m.indexProg()
 	return m
-}
-
-// indexProg (re)builds the decode cache for the loaded program.
-func (m *Machine) indexProg() {
-	m.code = m.Prog.Code
-	if cap(m.meta) < len(m.code) {
-		m.meta = make([]instMeta, len(m.code))
-	}
-	m.meta = m.meta[:len(m.code)]
-	for i := range m.code {
-		var md instMeta
-		md.nsrc = uint8(m.code[i].ReadsInto(&md.src))
-		md.kind = kindOf(m.code[i])
-		m.meta[i] = md
-	}
 }
 
 // PC returns the address of the next instruction to execute.
@@ -268,58 +200,56 @@ func (m *Machine) Step(rec *Record) bool {
 
 	// Regs[RZero] is never written (setReg discards, Reset zeroes), so
 	// plain indexing reads the architecturally-correct zero without the
-	// Reg accessor's branch — and, because meta zero-pads src past nsrc,
-	// it also yields the required zeros for the unused SrcVal slots.
+	// Reg accessor's branch — and, because Decoded zero-pads Src past
+	// NSrc, it also yields the required zeros for the unused SrcVal slots.
 	in := &rec.Inst
-	md := &m.meta[m.pc]
-	rec.SrcReg = md.src
-	rec.NSrc = md.nsrc
-	rec.SrcVal[0] = m.Regs[md.src[0]]
-	rec.SrcVal[1] = m.Regs[md.src[1]]
+	d := &m.dec[m.pc]
+	rec.SrcVal[0] = m.Regs[d.Src[0]]
+	rec.SrcVal[1] = m.Regs[d.Src[1]]
 
 	next := m.pc + 1
-	switch md.kind {
-	case kALU:
+	switch d.Kind {
+	case isa.KindALU:
 		v := isa.EvalALU(in.Op, m.Regs[in.Src1], m.Regs[in.Src2], in.Imm)
 		m.setReg(in.Dst, v)
 		rec.DstVal = v
 
-	case kLoad:
+	case isa.KindLoad:
 		ea := isa.Addr(m.Regs[in.Src1] + in.Imm)
 		v := m.Mem.Load(ea)
 		m.setReg(in.Dst, v)
 		rec.EA = ea
 		rec.DstVal = v
 
-	case kStore:
+	case isa.KindStore:
 		ea := isa.Addr(m.Regs[in.Src1] + in.Imm)
 		m.Mem.Store(ea, m.Regs[in.Src2])
 		rec.EA = ea
 
-	case kCond:
+	case isa.KindCond:
 		if isa.BranchTaken(in.Op, m.Regs[in.Src1], m.Regs[in.Src2]) {
 			next = in.Target
 			rec.Taken = true
 		}
 
-	case kJmp:
+	case isa.KindJmp:
 		next = in.Target
 		rec.Taken = true
 		if next == m.pc {
 			m.halted = true
 		}
 
-	case kJmpInd:
+	case isa.KindJmpInd:
 		next = isa.Addr(m.Regs[in.Src1])
 		rec.Taken = true
 
-	case kCall:
+	case isa.KindCall:
 		m.setReg(isa.RRA, isa.Word(m.pc+1))
 		rec.DstVal = isa.Word(m.pc + 1)
 		next = in.Target
 		rec.Taken = true
 
-	case kRet:
+	case isa.KindRet:
 		next = isa.Addr(m.Regs[in.Src1])
 		rec.Taken = true
 
@@ -366,5 +296,6 @@ func (m *Machine) Reset(p *program.Program) {
 	m.pc = p.Entry
 	m.seq = 0
 	m.halted = false
-	m.indexProg()
+	m.code = p.Code
+	m.dec = p.Decoded()
 }

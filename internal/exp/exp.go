@@ -144,8 +144,8 @@ func (o Options) programsFor(names []string) ([]*program.Program, error) {
 		v, err := o.Cache.Do(context.Background(), runcache.KeyOf("program", name),
 			func() (any, error) {
 				g := synth.Generate(p)
-				g.Blocks()      // precompute: lazy init would race across sweeps
-				g.Fingerprint() // ditto
+				g.Decoded()     // build the shared lazy tables once, before
+				g.Fingerprint() // the sweeps fan out over g
 				return g, nil
 			})
 		if err != nil {

@@ -127,12 +127,6 @@ func Run(prog *program.Program, cfg Config) *Profile {
 // ctxCheckInterval is how many instructions pass between context polls.
 const ctxCheckInterval = 4096
 
-// Per-PC decode flags, computed once per run.
-const (
-	fBranch uint8 = 1 << iota // any control transfer: trains the predictor
-	fTerm                     // terminating branch: ends a path
-)
-
 // RunContext is Run under a context: it validates cfg, then polls ctx
 // every ctxCheckInterval instructions and abandons the run with ctx's
 // error once it is done.
@@ -146,15 +140,7 @@ func RunContext(ctx context.Context, prog *program.Program, cfg Config) (*Profil
 		return nil, fmt.Errorf("pathprof: program %q too large to profile (%d instructions)", prog.Name, len(prog.Code))
 	}
 	cfg = cfg.Canonical()
-	flags := make([]uint8, len(prog.Code))
-	for pc, in := range prog.Code {
-		if in.IsBranch() {
-			flags[pc] |= fBranch
-		}
-		if in.IsTerminatingBranch() {
-			flags[pc] |= fTerm
-		}
-	}
+	dec := prog.Decoded()
 	branches := make([]branchStats, len(prog.Code))
 	tables := make([]pathTable, len(cfg.Ns))
 	trackers := make([]*path.Tracker, len(cfg.Ns))
@@ -172,13 +158,15 @@ func RunContext(ctx context.Context, prog *program.Program, cfg Config) (*Profil
 		if r.Seq%ctxCheckInterval == 0 && ctx.Err() != nil {
 			return nil, ctx.Err()
 		}
-		f := flags[r.PC]
-		if f&fBranch == 0 {
+		// Any control transfer trains the predictor; a terminating
+		// branch also ends a path.
+		d := &dec[r.PC]
+		if !d.Branch {
 			continue
 		}
 		guess := pred.Predict(r.PC, r.Inst)
 		miss := pred.Update(r.PC, r.Inst, guess, r.Taken, r.NextPC)
-		if f&fTerm != 0 {
+		if d.Term {
 			nBranches++
 			bs := &branches[r.PC]
 			bs.executions++
