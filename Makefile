@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet lint replay-deps test race bench profile fuzz cover serve-smoke ci
+.PHONY: all build vet gofmt-check lint replay-deps test race bench profile fuzz cover serve-smoke ci
 
 all: build vet lint test
 
@@ -10,9 +10,15 @@ build:
 vet:
 	$(GO) vet ./...
 
-# lint runs go vet plus the repo's own invariant suite (see
-# internal/analysis and cmd/dpbplint).
-lint:
+# gofmt-check fails if any Go file needs gofmt. testdata/ is excluded:
+# analyzer fixtures (counterwidth's field alignment) are test input.
+gofmt-check:
+	@files=$$(find . \( -name .git -o -name testdata -o -name .bench_build \) -prune -o -name '*.go' -print | xargs gofmt -l); \
+	if [ -n "$$files" ]; then echo "ERROR: not gofmt-clean:"; echo "$$files"; exit 1; fi
+
+# lint runs the gofmt check, go vet and the repo's own invariant suite
+# (see internal/analysis and cmd/dpbplint).
+lint: gofmt-check
 	$(GO) run ./cmd/dpbplint ./...
 
 test:

@@ -34,7 +34,7 @@ func FuzzDifferentialRun(f *testing.F) {
 			cfg := Ablations()[1].Config // full microthread mechanism
 			cfg.SMT = smtConfigFromBits(smtBits % 32)
 			co := synth.RandSpec{Seed: seed ^ 0x5bd1e995, Units: int(1 + units%4)}
-			if err := verifySMTSpecs(spec, co, cfg, SMTOptions{MaxInsts: 6_000, Trace: true}); err != nil {
+			if err := verifySMTSpecs(spec, co, cfg, Options{MaxInsts: 6_000, Trace: true}); err != nil {
 				t.Fatalf("specs %v+%v smt=%d: %v", spec, co, smtBits%32, err)
 			}
 			return

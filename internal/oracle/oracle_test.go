@@ -1,11 +1,15 @@
 package oracle
 
 import (
+	"context"
+	"fmt"
 	"os"
+	"regexp"
 	"strings"
 	"testing"
 
 	"dpbp/internal/cpu"
+	"dpbp/internal/program"
 	"dpbp/internal/synth"
 )
 
@@ -135,42 +139,170 @@ func TestFaultInAllConfigs(t *testing.T) {
 	}
 }
 
-// TestCheckStatsCatchesCorruption corrupts one counter of a real run per
-// relation and expects the algebra checker to object to each.
-func TestCheckStatsCatchesCorruption(t *testing.T) {
-	cfg := Ablations()[1].Config
-	cfg.MaxInsts = 12_000
-	res := cpu.Run(synth.Random(11, 6), cfg)
-	canon := cfg.Canonical()
-	canon.MaxInsts = cfg.MaxInsts
-	if err := CheckStats(res, canon); err != nil {
-		t.Fatalf("clean run fails stats check: %v", err)
-	}
-
-	mutations := []struct {
-		name string
-		mut  func(*cpu.Result)
-	}{
-		{"spawn conservation", func(r *cpu.Result) { r.Micro.Spawned++ }},
-		{"delivery classification", func(r *cpu.Result) { r.Micro.Useless++ }},
-		{"used-prediction split", func(r *cpu.Result) { r.Micro.CorrectUsed++ }},
-		{"pcache probes", func(r *cpu.Result) { r.PCache.Misses++ }},
-		{"pathcache allocation split", func(r *cpu.Result) { r.PathCache.AllocsAvoided++ }},
-		{"promotion balance", func(r *cpu.Result) { r.PathCache.Demotions = r.PathCache.Promotions + 1 }},
-		{"mispredict bound", func(r *cpu.Result) { r.Mispredicts = r.Branches + 1 }},
-		{"backend predict/update pairing", func(r *cpu.Result) { r.Backend.Hybrid.Updates++ }},
-		{"backend selection split", func(r *cpu.Result) { r.Backend.Hybrid.GshareSelected++ }},
-		{"backend correctness", func(r *cpu.Result) { r.Backend.Hybrid.Correct++ }},
-		{"inactive backend purity", func(r *cpu.Result) { r.Backend.TAGE.Lookups++ }},
-		{"gate skip bound", func(r *cpu.Result) { r.Micro.H2PGateSkips = r.PathCache.PromotionsRejected + 1 }},
-	}
-	for _, m := range mutations {
-		bad := *res
-		m.mut(&bad)
-		if err := CheckStats(&bad, canon); err == nil {
-			t.Errorf("%s: corruption not detected", m.name)
+// ablation returns the named configuration of Ablations().
+func ablation(t *testing.T, name string) cpu.Config {
+	t.Helper()
+	for _, nc := range Ablations() {
+		if nc.Name == name {
+			return nc.Config
 		}
 	}
+	t.Fatalf("no ablation %q", name)
+	return cpu.Config{}
+}
+
+// violates reports whether err lists a violation that carries prefix
+// pfx and matches the law pattern.
+func violates(err error, pfx, law string) bool {
+	if err == nil {
+		return false
+	}
+	re := regexp.MustCompile(law)
+	for _, v := range strings.Split(err.Error(), "; ") {
+		if strings.Contains(v, pfx) && re.MatchString(v) {
+			return true
+		}
+	}
+	return false
+}
+
+// contextMutations corrupts one counter of a run per per-context law:
+// law is a pattern of the violation the corruption must raise, config
+// the ablation whose run it corrupts (backend and mode laws only apply
+// under their own backend or mode). Co-runner denial purity, which has
+// no co-runner-free context to apply to in a 2-context run, is covered
+// by TestCheckSMTStatsSoloDenialPurity.
+var contextMutations = []struct {
+	law    string
+	config string
+	mut    func(*cpu.Result)
+}{
+	// Stream totals.
+	{`branches \d+ > insts`, "micro", func(r *cpu.Result) { r.Branches = r.Insts + 1 }},
+	{`hw mispredicts \d+ > branches`, "micro", func(r *cpu.Result) { r.HWMispredicts = r.Branches + 1 }},
+	{`(^|: )mispredicts \d+ > branches`, "micro", func(r *cpu.Result) { r.Mispredicts = r.Branches + 1 }},
+	// Spawn algebra and lifecycle.
+	{`attempts \d+ != prefix drops`, "micro", func(r *cpu.Result) { r.Micro.Spawned++ }},
+	{`completions \d+ \+ aborts \d+ > spawns`, "micro", func(r *cpu.Result) { r.Micro.Completed = r.Micro.Spawned + 1 }},
+	{`contexts in flight at run end`, "micro", func(r *cpu.Result) {
+		r.Micro.Spawned += 1000
+		r.Micro.AttemptedSpawns += 1000
+	}},
+	// Delivery split.
+	{`useless \d+ != pcache hits`, "micro", func(r *cpu.Result) { r.Micro.Useless++ }},
+	{`early \d+ != used predictions`, "micro", func(r *cpu.Result) { r.Micro.UsedPredictions++ }},
+	{`used \d+ != correct`, "micro", func(r *cpu.Result) { r.Micro.CorrectUsed++ }},
+	{`fixed \d+ > correct used`, "micro", func(r *cpu.Result) { r.Micro.UsedFixed = r.Micro.CorrectUsed + 1 }},
+	{`broke \d+ > wrong used`, "micro", func(r *cpu.Result) { r.Micro.UsedBroke = r.Micro.WrongUsed + 1 }},
+	{`recoveries \d+\+\d+ > late`, "micro", func(r *cpu.Result) { r.Micro.EarlyRecoveries = r.Micro.Late + 1 }},
+	// Private Prediction Cache.
+	{`pcache hits \d+ \+ misses`, "micro", func(r *cpu.Result) { r.PCache.Misses++ }},
+	{`pcache overwrites`, "micro", func(r *cpu.Result) { r.PCache.Overwrites = r.PCache.Writes + 1 }},
+	{`> installs`, "micro", func(r *cpu.Result) { r.PCache.Expired = r.PCache.Writes + 1 }},
+	// Private Path Cache.
+	{`path cache observes`, "micro", func(r *cpu.Result) { r.PathCache.Hits = r.Branches + 1 }},
+	{`path cache allocations \d+ \+ avoided`, "micro", func(r *cpu.Result) { r.PathCache.AllocsAvoided++ }},
+	{`path cache replacements`, "micro", func(r *cpu.Result) { r.PathCache.Replacements = r.PathCache.Allocations + 1 }},
+	{`path cache demotions`, "micro", func(r *cpu.Result) { r.PathCache.Demotions = r.PathCache.Promotions + 1 }},
+	{`difficult cleared`, "micro", func(r *cpu.Result) { r.PathCache.DifficultCleared = r.PathCache.DifficultSet + 1 }},
+	// Hybrid backend.
+	{`hybrid lookups`, "micro", func(r *cpu.Result) { r.Backend.Hybrid.Updates++ }},
+	{`hybrid gshare`, "micro", func(r *cpu.Result) { r.Backend.Hybrid.GshareSelected++ }},
+	{`hybrid disagreements`, "micro", func(r *cpu.Result) { r.Backend.Hybrid.Disagreements = r.Backend.Hybrid.Updates + 1 }},
+	{`hybrid correct`, "micro", func(r *cpu.Result) { r.Backend.Hybrid.Correct++ }},
+	{`nonzero under hybrid`, "micro", func(r *cpu.Result) { r.Backend.TAGE.Lookups++ }},
+	// TAGE backend.
+	{`tage lookups`, "micro-tage", func(r *cpu.Result) { r.Backend.TAGE.Lookups++ }},
+	{`tage providers`, "micro-tage", func(r *cpu.Result) { r.Backend.TAGE.ProviderTagged++ }},
+	{`tage alt-used`, "micro-tage", func(r *cpu.Result) { r.Backend.TAGE.AltUsed = r.Backend.TAGE.ProviderTagged + 1 }},
+	{`tage correct`, "micro-tage", func(r *cpu.Result) { r.Backend.TAGE.Correct++ }},
+	{`tage mispredicts \d+ != cond mispredicted`, "micro-tage", func(r *cpu.Result) { r.PredStats.CondMispredicted++ }},
+	{`tage allocations`, "micro-tage", func(r *cpu.Result) { r.Backend.TAGE.Allocations = r.Backend.TAGE.Mispredicts + 1 }},
+	{`tage decays`, "micro-tage", func(r *cpu.Result) { r.Backend.TAGE.UDecays++ }},
+	{`nonzero under tage`, "micro-tage", func(r *cpu.Result) { r.Backend.Hybrid.Lookups++ }},
+	// H2P backend and its spawn gate.
+	{`h2p lookups`, "micro-h2p-gate", func(r *cpu.Result) { r.Backend.H2P.Lookups++ }},
+	{`h2p overrides \d+ != correct`, "micro-h2p-gate", func(r *cpu.Result) { r.Backend.H2P.OverrideWrong++ }},
+	{`h2p overrides \d+ > h2p branches`, "micro-h2p-gate", func(r *cpu.Result) { r.Backend.H2P.H2PBranches = r.Backend.H2P.Updates + 1 }},
+	{`h2p base mispredicts`, "micro-h2p-gate", func(r *cpu.Result) { r.Backend.H2P.BaseMispredicts = r.Backend.H2P.Updates + 1 }},
+	{`nonzero under h2p`, "micro-h2p-gate", func(r *cpu.Result) { r.Backend.Hybrid.Lookups++ }},
+	{`gate skips \d+ > rejected promotions`, "micro-h2p-gate", func(r *cpu.Result) {
+		r.Micro.H2PGateSkips = r.PathCache.PromotionsRejected + 1
+	}},
+	{`gate skips \d+ with gate off`, "micro", func(r *cpu.Result) { r.Micro.H2PGateSkips++ }},
+	// Builder.
+	{`rebuilds \d+ > builds`, "micro", func(r *cpu.Result) { r.Micro.Rebuilds = r.Build.Builds + 1 }},
+	{`builds \d+ > size sum`, "micro", func(r *cpu.Result) { r.Build.Builds = r.Build.SizeSum + 1 }},
+	// Mode purity.
+	{`micro stats nonzero`, "baseline", func(r *cpu.Result) { r.Micro.MemDepViolations++ }},
+	{`prediction-cache stats nonzero`, "baseline", func(r *cpu.Result) { r.PCache.Writes++ }},
+	{`path-cache stats nonzero`, "baseline", func(r *cpu.Result) { r.PathCache.Promotions++ }},
+}
+
+// TestCheckStatsCatchesCorruption applies the per-context mutation table
+// to both paths of the one law set: a solo run (CheckStats) and each
+// context of a 2-context, all-private SMT run (CheckSMTStats). Every
+// mutant must raise its own law's violation, attributed to the mutated
+// context.
+func TestCheckStatsCatchesCorruption(t *testing.T) {
+	type cleanRuns struct {
+		cfg, smtCfg cpu.Config // canonical
+		solo        *cpu.Result
+		smt         *cpu.SMTResult
+	}
+	clean := map[string]*cleanRuns{}
+	for _, m := range contextMutations {
+		c := clean[m.config]
+		if c == nil {
+			cfg := ablation(t, m.config)
+			cfg.MaxInsts = 12_000
+			c = &cleanRuns{cfg: cfg.Canonical(), solo: cpu.Run(synth.Random(11, 6), cfg)}
+			if err := CheckStats(c.solo, c.cfg); err != nil {
+				t.Fatalf("%s: clean run fails stats check: %v", m.config, err)
+			}
+			cfg.SMT = smtConfigFromBits(0) // rr, everything private
+			c.smtCfg = cfg.Canonical()
+			progs := []*program.Program{synth.Random(11, 6), synth.Random(12, 6)}
+			var err error
+			if c.smt, err = cpu.RunSMT(context.Background(), progs, cfg); err != nil {
+				t.Fatal(err)
+			}
+			if err := CheckSMTStats(c.smt, c.smtCfg); err != nil {
+				t.Fatalf("%s: clean SMT run fails stats check: %v", m.config, err)
+			}
+			clean[m.config] = c
+		}
+
+		bad := *c.solo
+		m.mut(&bad)
+		if err := CheckStats(&bad, c.cfg); !violates(err, "", m.law) {
+			t.Errorf("solo %s: corruption not detected as %q: %v", m.config, m.law, err)
+		}
+		for ctx := range c.smt.Contexts {
+			bad := cloneSMT(c.smt)
+			m.mut(bad.Contexts[ctx])
+			if err := CheckSMTStats(bad, c.smtCfg); !violates(err, fmt.Sprintf("ctx %d: ", ctx), m.law) {
+				t.Errorf("smt %s ctx %d: corruption not detected as %q: %v", m.config, ctx, m.law, err)
+			}
+		}
+	}
+}
+
+// cloneSMT copies an SMT result deeply enough to corrupt one context.
+func cloneSMT(res *cpu.SMTResult) *cpu.SMTResult {
+	c := *res
+	c.Contexts = cloneResults(res.Contexts)
+	return &c
+}
+
+// cloneResults copies each Result so one can be corrupted alone.
+func cloneResults(rs []*cpu.Result) []*cpu.Result {
+	out := make([]*cpu.Result, len(rs))
+	for i, r := range rs {
+		rr := *r
+		out[i] = &rr
+	}
+	return out
 }
 
 // TestShrinkKeepsOneUnit pins the shrinker's floor: a predicate that

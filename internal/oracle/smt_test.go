@@ -2,10 +2,12 @@ package oracle
 
 import (
 	"context"
+	"regexp"
 	"strings"
 	"testing"
 
 	"dpbp/internal/cpu"
+	"dpbp/internal/obs"
 	"dpbp/internal/program"
 	"dpbp/internal/synth"
 )
@@ -28,7 +30,7 @@ func TestOracleSMTSmoke(t *testing.T) {
 	for seed := int64(1); seed <= 32; seed++ {
 		a := synth.RandSpec{Seed: seed, Units: 5}
 		b := synth.RandSpec{Seed: seed + 1000, Units: 5}
-		if err := verifySMTSpecs(a, b, smtSmokeCfg(seed), SMTOptions{MaxInsts: 8_000, Trace: true}); err != nil {
+		if err := verifySMTSpecs(a, b, smtSmokeCfg(seed), Options{MaxInsts: 8_000, Trace: true}); err != nil {
 			t.Errorf("seed %d: %v", seed, err)
 		}
 	}
@@ -49,7 +51,7 @@ func TestOracleSMTOneContextBridge(t *testing.T) {
 			t.Fatal(err)
 		}
 		progs := []*program.Program{synth.Generate(p)}
-		if err := VerifySMT(progs, cfg, SMTOptions{MaxInsts: 12_000}); err != nil {
+		if err := VerifySMT(progs, cfg, Options{MaxInsts: 12_000}); err != nil {
 			t.Errorf("%v: %v", policy, err)
 		}
 	}
@@ -63,7 +65,7 @@ func TestOracleSMTOneContextBridge(t *testing.T) {
 func TestVerifySMTDetectsInjectedFault(t *testing.T) {
 	cfg := Ablations()[1].Config
 	cfg.SMT = smtConfigFromBits(30) // rr, everything shared: the worst case
-	opts := SMTOptions{MaxInsts: 8_000, Fault: &SMTFault{Ctx: 1, Seq: 3_000}}
+	opts := Options{MaxInsts: 8_000, Fault: &Fault{Ctx: 1, Seq: 3_000}}
 	a := synth.RandSpec{Seed: 7, Units: 6}
 	b := synth.RandSpec{Seed: 8, Units: 6}
 
@@ -102,8 +104,10 @@ func TestVerifySMTDetectsInjectedFault(t *testing.T) {
 }
 
 // TestCheckSMTStatsCatchesCorruption corrupts one counter of a real SMT
-// run per conservation law and expects the checker to object to each —
-// the proof the SMT wall is load-bearing, not decorative.
+// run per machine-wide or shared-structure law and expects the checker
+// to raise that law's violation — the proof the SMT wall is
+// load-bearing, not decorative. The per-context laws are mutated on both
+// paths by TestCheckStatsCatchesCorruption.
 func TestCheckSMTStatsCatchesCorruption(t *testing.T) {
 	cfg := Ablations()[1].Config
 	cfg.SMT = smtConfigFromBits(6) // rr, shared path cache + shared pcache
@@ -117,55 +121,159 @@ func TestCheckSMTStatsCatchesCorruption(t *testing.T) {
 		t.Fatal(err)
 	}
 	canon := cfg.Canonical()
-	canon.MaxInsts = cfg.MaxInsts
 	if cerr := CheckSMTStats(res, canon); cerr != nil {
 		t.Fatalf("clean SMT run fails stats check: %v", cerr)
 	}
 
+	// every applies a corruption to every context's (shared) copy, so
+	// only the summed-stream algebra can object.
+	every := func(mut func(*cpu.Result)) func(*cpu.SMTResult) {
+		return func(r *cpu.SMTResult) {
+			for _, c := range r.Contexts {
+				mut(c)
+			}
+		}
+	}
 	mutations := []struct {
-		name string
-		mut  func(*cpu.SMTResult)
+		law string
+		mut func(*cpu.SMTResult)
 	}{
-		{"spawn conservation with denial term", func(r *cpu.SMTResult) { r.Contexts[0].Micro.CoRunnerDenied++ }},
-		{"machine-wide inflight budget", func(r *cpu.SMTResult) { r.Contexts[1].Micro.Spawned += 1000 }},
-		{"shared path-cache copies identical", func(r *cpu.SMTResult) { r.Contexts[1].PathCache.Hits++ }},
-		{"shared pcache delivery sum", func(r *cpu.SMTResult) { r.Contexts[0].Micro.Useless++ }},
-		{"occupancy within capacity", func(r *cpu.SMTResult) { r.PathCacheOccupancy = r.PathCacheCapacity + 1 }},
-		{"capacity recorded", func(r *cpu.SMTResult) { r.PathCacheOccupancy, r.PathCacheCapacity = 0, 0 }},
-		{"machine span is max context span", func(r *cpu.SMTResult) { r.Cycles++ }},
-		{"sharing flags copied", func(r *cpu.SMTResult) { r.SharedPathCache = false }},
-		{"per-context stream totals", func(r *cpu.SMTResult) { r.Contexts[0].Branches = r.Contexts[0].Insts + 1 }},
+		{`ctx 0: attempts \d+ != prefix`, func(r *cpu.SMTResult) { r.Contexts[0].Micro.CoRunnerDenied++ }},
+		{`context results for \d+ configured`, func(r *cpu.SMTResult) { r.Contexts = r.Contexts[:1] }},
+		{`machine budget`, func(r *cpu.SMTResult) { r.Contexts[1].Micro.Spawned += 1000 }},
+		{`ctx 1: shared path-cache stats differ`, func(r *cpu.SMTResult) { r.Contexts[1].PathCache.Hits++ }},
+		{`ctx 1: shared pcache stats differ`, func(r *cpu.SMTResult) { r.Contexts[1].PCache.Hits++ }},
+		{`summed deliveries`, func(r *cpu.SMTResult) { r.Contexts[0].Micro.Useless++ }},
+		{`shared: pcache hits \d+ \+ misses`, every(func(c *cpu.Result) { c.PCache.Misses++ })},
+		{`shared: pcache overwrites`, every(func(c *cpu.Result) { c.PCache.Overwrites = c.PCache.Writes + 1 })},
+		{`shared: path cache allocations`, every(func(c *cpu.Result) { c.PathCache.AllocsAvoided++ })},
+		{`shared: path cache observes`, every(func(c *cpu.Result) { c.PathCache.Hits += 1 << 40 })},
+		{`occupancy \d+ > capacity`, func(r *cpu.SMTResult) { r.PathCacheOccupancy = r.PathCacheCapacity + 1 }},
+		{`capacity not recorded`, func(r *cpu.SMTResult) { r.PathCacheOccupancy, r.PathCacheCapacity = 0, 0 }},
+		{`machine cycles`, func(r *cpu.SMTResult) { r.Cycles++ }},
+		{`sharing flags`, func(r *cpu.SMTResult) { r.SharedPathCache = false }},
+		{`ctx 0: branches \d+ > insts`, func(r *cpu.SMTResult) { r.Contexts[0].Branches = r.Contexts[0].Insts + 1 }},
 	}
 	for _, m := range mutations {
-		bad := *res
-		bad.Contexts = make([]*cpu.Result, len(res.Contexts))
-		for i, c := range res.Contexts {
-			cc := *c
-			bad.Contexts[i] = &cc
-		}
-		m.mut(&bad)
-		if cerr := CheckSMTStats(&bad, canon); cerr == nil {
-			t.Errorf("%s: corruption not detected", m.name)
+		bad := cloneSMT(res)
+		m.mut(bad)
+		if cerr := CheckSMTStats(bad, canon); !violates(cerr, "", m.law) {
+			t.Errorf("%q: corruption not detected: %v", m.law, cerr)
 		}
 	}
 }
 
 // TestCheckSMTStatsSoloDenialPurity pins the CoRunnerDenied purity law
-// both ways: a 1-context SMT result must report zero denials, and the
-// solo CheckStats must reject a nonzero denial count outside SMT.
+// on both paths: a solo run and a 1-context SMT run must each report
+// zero denials, and the checkers must reject a nonzero count even when
+// the spawn sum still balances.
 func TestCheckSMTStatsSoloDenialPurity(t *testing.T) {
 	cfg := Ablations()[1].Config
 	cfg.MaxInsts = 8_000
-	res := cpu.Run(synth.Random(3, 5), cfg)
-	canon := cfg.Canonical()
-	canon.MaxInsts = cfg.MaxInsts
-	if err := CheckStats(res, canon); err != nil {
+	prog := synth.Random(3, 5)
+	res := cpu.Run(prog, cfg)
+	if err := CheckStats(res, cfg.Canonical()); err != nil {
 		t.Fatalf("clean solo run fails: %v", err)
 	}
+	deny := func(r *cpu.Result) {
+		r.Micro.CoRunnerDenied++
+		r.Micro.AttemptedSpawns++ // keep the sum law satisfied; purity must still object
+	}
 	bad := *res
-	bad.Micro.CoRunnerDenied++
-	bad.Micro.AttemptedSpawns++ // keep the sum law satisfied; purity must still object
-	if err := CheckStats(&bad, canon); err == nil {
-		t.Error("solo run with co-runner denials accepted")
+	deny(&bad)
+	if err := CheckStats(&bad, cfg.Canonical()); !violates(err, "", `with no co-runners`) {
+		t.Errorf("solo run with co-runner denials accepted: %v", err)
+	}
+
+	cfg.SMT = cpu.SMTConfig{Contexts: []cpu.WorkloadRef{{Bench: "solo"}}}
+	smtRes, err := cpu.RunSMT(context.Background(), []*program.Program{prog}, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := CheckSMTStats(smtRes, cfg.Canonical()); err != nil {
+		t.Fatalf("clean 1-context SMT run fails: %v", err)
+	}
+	badSMT := cloneSMT(smtRes)
+	deny(badSMT.Contexts[0])
+	if err := CheckSMTStats(badSMT, cfg.Canonical()); !violates(err, "ctx 0: ", `with no co-runners`) {
+		t.Errorf("1-context SMT run with co-runner denials accepted: %v", err)
+	}
+}
+
+// traceMutations corrupts the statistics side of one trace pair each;
+// the KindPathAlloc pair reconciles allocations with allocs+replaces.
+var traceMutations = []struct {
+	kind obs.Kind
+	mut  func(*cpu.Result)
+}{
+	{obs.KindSpawnAttempt, func(r *cpu.Result) { r.Micro.AttemptedSpawns++ }},
+	{obs.KindSpawnDropPrefix, func(r *cpu.Result) { r.Micro.PrefixMismatchDrops++ }},
+	{obs.KindSpawnDropNoContext, func(r *cpu.Result) { r.Micro.NoContextDrops++ }},
+	{obs.KindSpawnDropCoRunner, func(r *cpu.Result) { r.Micro.CoRunnerDenied++ }},
+	{obs.KindSpawn, func(r *cpu.Result) { r.Micro.Spawned++ }},
+	{obs.KindAbortActive, func(r *cpu.Result) { r.Micro.AbortedActive++ }},
+	{obs.KindComplete, func(r *cpu.Result) { r.Micro.Completed++ }},
+	{obs.KindMemDepViolation, func(r *cpu.Result) { r.Micro.MemDepViolations++ }},
+	{obs.KindDeliveryEarly, func(r *cpu.Result) { r.Micro.Early++ }},
+	{obs.KindDeliveryLate, func(r *cpu.Result) { r.Micro.Late++ }},
+	{obs.KindDeliveryUseless, func(r *cpu.Result) { r.Micro.Useless++ }},
+	{obs.KindPCacheWrite, func(r *cpu.Result) { r.PCache.Writes++ }},
+	{obs.KindPathReplace, func(r *cpu.Result) { r.PathCache.Replacements++ }},
+	{obs.KindPathPromote, func(r *cpu.Result) { r.PathCache.Promotions++ }},
+	{obs.KindPathDemote, func(r *cpu.Result) { r.PathCache.Demotions++ }},
+	{obs.KindPathPromoteRejected, func(r *cpu.Result) { r.PathCache.PromotionsRejected++ }},
+	{obs.KindPathAlloc, func(r *cpu.Result) { r.PathCache.Allocations++ }},
+}
+
+// TestCheckTraceCatchesCorruption runs the one trace reconciliation on
+// a solo run, a 2-context all-private SMT run and a 2-context
+// shared-structure SMT run, and corrupts one statistic per trace pair:
+// on context 0 of each, and on context 1 of the all-private run, where
+// every private copy must be summed. The pair's own line must object.
+func TestCheckTraceCatchesCorruption(t *testing.T) {
+	progs := []*program.Program{synth.Random(11, 6), synth.Random(12, 6)}
+	for _, tc := range []struct {
+		name    string
+		smtBits int // -1: solo
+		mutated []int
+	}{
+		{"solo", -1, []int{0}},
+		{"smt-private", 0, []int{0, 1}},
+		{"smt-shared", 6, []int{0}}, // shared path cache + pcache
+	} {
+		cfg := Ablations()[1].Config
+		cfg.MaxInsts = 12_000
+		tr := obs.NewTracer()
+		tr.SetLimit(1)
+		cfg.Obs = tr
+		res := []*cpu.Result{}
+		if tc.smtBits < 0 {
+			res = append(res, cpu.Run(progs[0], cfg))
+		} else {
+			cfg.SMT = smtConfigFromBits(uint64(tc.smtBits))
+			smtRes, err := cpu.RunSMT(context.Background(), progs, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			res = smtRes.Contexts
+		}
+		shared := cfg.SMT.SharedPathCache
+		if err := CheckTrace(tr, res, shared, shared); err != nil {
+			t.Fatalf("%s: clean run fails trace check: %v", tc.name, err)
+		}
+
+		for _, m := range traceMutations {
+			label := m.kind.String()
+			if m.kind == obs.KindPathAlloc {
+				label = "allocs+replaces"
+			}
+			for _, ctx := range tc.mutated {
+				bad := cloneResults(res)
+				m.mut(bad[ctx])
+				if err := CheckTrace(tr, bad, shared, shared); !violates(err, "", `trace\.`+regexp.QuoteMeta(label)+` =`) {
+					t.Errorf("%s ctx %d: %s corruption not detected: %v", tc.name, ctx, label, err)
+				}
+			}
+		}
 	}
 }

@@ -103,7 +103,7 @@ func TestSmallCacheSuffices(t *testing.T) {
 	for seq := uint64(0); seq < 10_000; seq++ {
 		c.Write(e(seq%64, seq))
 		if seq >= 8 {
-			c.Expire(0, seq - 8)
+			c.Expire(0, seq-8)
 		}
 	}
 	if c.Stats.Evictions-evBefore > 100 {
@@ -124,7 +124,7 @@ func TestFreeListNeverLeaksQuick(t *testing.T) {
 			case op%3 == 1:
 				c.Consume(0, path.ID(id), seq)
 			default:
-				c.Expire(0, uint64(op) / 2)
+				c.Expire(0, uint64(op)/2)
 			}
 			if c.Len()+len(c.free) != c.cap {
 				return false
