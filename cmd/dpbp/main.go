@@ -40,10 +40,10 @@
 // "metrics" section — the scattered statistics structs unified into one
 // named counter/histogram registry — rendered in whatever -format says.
 //
-// -bpred swaps the direction predictor every timing run uses (the
-// registry in internal/bpred; default "hybrid", the paper's gshare/PAs
+// -bpred swaps the direction predictor every timing run uses (one of
+// internal/bpred's backends; default "hybrid", the paper's gshare/PAs
 // machine). -exp shootout instead varies the backend itself, pitting
-// every registered backend and the H2P-gated microthread variant against
+// every backend and the H2P-gated microthread variant against
 // the hybrid baseline; it ignores -bpred's name but is not part of
 // "all" (its runs would double the budget without reproducing a paper
 // figure).
@@ -160,10 +160,6 @@ func mainExit(expName, bench, bpredName, smtSpec, format string, insts, profInst
 
 	jobs, err := resolveJobs(jobs)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "dpbp:", err)
-		return 1
-	}
-	if err := checkBackend(bpredName); err != nil {
 		fmt.Fprintln(os.Stderr, "dpbp:", err)
 		return 1
 	}
@@ -298,20 +294,6 @@ func buildMetrics(sections []results.Section, opts dpbp.ExperimentOptions) *dpbp
 		opts.Trace.AddTo(reg)
 	}
 	return reg
-}
-
-// checkBackend rejects unknown -bpred names before any experiment runs;
-// empty means the default (hybrid).
-func checkBackend(name string) error {
-	if name == "" {
-		return nil
-	}
-	for _, b := range dpbp.PredictorBackends() {
-		if name == b {
-			return nil
-		}
-	}
-	return fmt.Errorf("unknown predictor backend %q (have %v)", name, dpbp.PredictorBackends())
 }
 
 // checkFormat rejects unknown formats before any experiment runs.

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"io"
 	"os"
 	"reflect"
 	"strings"
@@ -280,14 +281,26 @@ func TestRunAllGolden(t *testing.T) {
 	t.Fatal("output differs from golden (length mismatch only)")
 }
 
-func TestCheckBackend(t *testing.T) {
+// TestRunRejectsUnknownBackend checks that an unknown -bpred name fails
+// the run up front with the backend list, before any output, while every
+// known name runs.
+func TestRunRejectsUnknownBackend(t *testing.T) {
 	for _, name := range append([]string{""}, dpbp.PredictorBackends()...) {
-		if err := checkBackend(name); err != nil {
-			t.Errorf("checkBackend(%q) = %v", name, err)
+		opts := tiny()
+		opts.BPred.Name = name
+		if err := run(context.Background(), io.Discard, "table1", "", opts); err != nil {
+			t.Errorf("-bpred %q: %v", name, err)
 		}
 	}
-	if err := checkBackend("nope"); err == nil || !strings.Contains(err.Error(), "unknown predictor backend") {
-		t.Errorf("checkBackend(nope) = %v", err)
+	var b bytes.Buffer
+	opts := tiny()
+	opts.BPred.Name = "nope"
+	err := run(context.Background(), &b, "all", "", opts)
+	if err == nil || !strings.Contains(err.Error(), `unknown predictor backend "nope"`) {
+		t.Errorf("-bpred nope: %v", err)
+	}
+	if b.Len() != 0 {
+		t.Errorf("-bpred nope wrote %d bytes before failing", b.Len())
 	}
 }
 

@@ -13,29 +13,15 @@ import (
 
 func TestBackendsRegistered(t *testing.T) {
 	names := Backends()
-	if !sort.StringsAreSorted(names) {
-		t.Fatalf("Backends() not sorted: %v", names)
+	want := []string{BackendH2P, BackendHybrid, BackendTAGE}
+	if !reflect.DeepEqual(names, want) || !sort.StringsAreSorted(names) {
+		t.Fatalf("Backends() = %v, want %v (sorted)", names, want)
 	}
-	want := map[string]bool{BackendHybrid: true, BackendTAGE: true, BackendH2P: true}
 	for _, n := range names {
-		delete(want, n)
-	}
-	if len(want) != 0 {
-		t.Fatalf("missing registered backends %v in %v", want, names)
-	}
-}
-
-func TestRegisterDuplicatePanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("duplicate Register did not panic")
+		if _, err := NewBackend(Spec{Name: n}, DefaultConfig()); err != nil {
+			t.Errorf("listed backend %q: %v", n, err)
 		}
-		// Undo the successful first registration to leave the global
-		// registry as the other tests expect.
-		registry = registry[:len(registry)-1]
-	}()
-	Register("backend-test-dup", func(Spec, Config) Backend { return nil })
-	Register("backend-test-dup", func(Spec, Config) Backend { return nil })
+	}
 }
 
 func TestSpecCanonical(t *testing.T) {
@@ -94,7 +80,7 @@ func stream(predict func(isa.Addr) bool, update func(isa.Addr, bool), n int, see
 }
 
 // TestHybridBackendMatchesBareHybrid pins the tentpole's byte-identity
-// requirement at the unit level: the registry-built hybrid backend must
+// requirement at the unit level: the NewBackend-built hybrid backend must
 // produce the same prediction stream and the same internal Hybrid state
 // as a bare Hybrid driven directly.
 func TestHybridBackendMatchesBareHybrid(t *testing.T) {
@@ -130,7 +116,7 @@ func TestHybridBackendMatchesBareHybrid(t *testing.T) {
 	}
 }
 
-// TestBackendsPredictAndReset exercises every registered backend
+// TestBackendsPredictAndReset exercises every backend
 // through the interface: it must predict, train, snapshot stats into
 // its own section, and Reset to a state bit-identical to fresh.
 func TestBackendsPredictAndReset(t *testing.T) {

@@ -56,10 +56,9 @@ type Machine struct {
 	// each.
 	uenv uthread.Env
 
-	routineReady  pathMap
 	builderFreeAt uint64
-	promoted      pathMap // ModePerfectPromoted's promoted set
-	prePromoted   pathMap // profile-guided unconditional promotions
+	promoted      path.Map[struct{}] // ModePerfectPromoted's promoted set
+	prePromoted   path.Map[struct{}] // profile-guided unconditional promotions
 
 	// Spawn-throttle feedback state.
 	throttled      bool
@@ -234,25 +233,23 @@ func (m *Machine) Reset(prog *program.Program, cfg Config) {
 		m.builder.Reset(buildConfigOf(cfg))
 	}
 	if fresh || prev.MicroRAMEntries != cfg.MicroRAMEntries {
-		m.uram = uthread.NewMicroRAM(cfg.MicroRAMEntries)
+		m.uram = uthread.NewMicroRAM(cfg.MicroRAMEntries, len(prog.Code))
 	} else {
-		m.uram.Reset()
+		m.uram.Reset(len(prog.Code))
 	}
-	m.uram.IndexCode(len(prog.Code))
 	if fresh || prev.PCacheEntries != cfg.PCacheEntries {
 		m.predCache = pcache.New(cfg.PCacheEntries)
 	} else {
 		m.predCache.Reset()
 	}
 
-	m.routineReady.clear()
-	m.promoted.clear()
-	m.prePromoted.clear()
+	m.promoted.Clear()
+	m.prePromoted.Clear()
 	m.builderFreeAt = 0
 	for _, id := range cfg.PrePromoted {
-		m.prePromoted.set(path.ID(id), 1)
+		m.prePromoted.Put(path.ID(id))
 		if cfg.Mode == ModePerfectPromoted {
-			m.promoted.set(path.ID(id), 1)
+			m.promoted.Put(path.ID(id))
 		}
 	}
 
@@ -698,7 +695,7 @@ func (m *Machine) handleBranch(rec *emu.Record, fc, resolve uint64, termID path.
 	case ModePerfectAll:
 		next = rec.NextPC
 	case ModePerfectPromoted:
-		if m.promoted.has(termID) {
+		if m.promoted.Has(termID) {
 			next = rec.NextPC
 		}
 	case ModeMicrothread:
@@ -839,7 +836,7 @@ func (m *Machine) retireSide(rec *emu.Record, retC uint64, termID path.ID, hwMis
 	// training entirely. Scope is computed here, not in execute: the
 	// tracker has not Observed this branch yet, so the value is the same,
 	// and the build paths are the only consumers.
-	if m.prePromoted.has(termID) {
+	if m.prePromoted.Has(termID) {
 		if cfg.Mode == ModeMicrothread && m.uram.Lookup(termID) == nil {
 			m.buildRoutine(rec, retC, termID, m.tracker.Scope(rec.PC), false)
 		}
@@ -850,10 +847,9 @@ func (m *Machine) retireSide(rec *emu.Record, retC uint64, termID path.ID, hwMis
 	switch {
 	case ev.Demote:
 		if cfg.Mode == ModePerfectPromoted {
-			m.promoted.delete(termID)
+			m.promoted.Delete(termID)
 		} else {
 			m.uram.Remove(termID)
-			m.routineReady.delete(termID)
 		}
 	case ev.Promote:
 		// The H2P spawn gate second-guesses the Path Cache: a path whose
@@ -866,8 +862,8 @@ func (m *Machine) retireSide(rec *emu.Record, retC uint64, termID path.ID, hwMis
 			return
 		}
 		if cfg.Mode == ModePerfectPromoted {
-			if m.promoted.len() < cfg.MicroRAMEntries {
-				m.promoted.set(termID, 1)
+			if m.promoted.Len() < cfg.MicroRAMEntries {
+				m.promoted.Put(termID)
 				m.pathCache.SetPromoted(termID, true)
 			} else {
 				m.pathCache.SetPromoted(termID, false)
@@ -926,14 +922,14 @@ func (m *Machine) buildRoutine(rec *emu.Record, retC uint64, id path.ID, scope i
 	if r != nil && m.cfg.OnBuild != nil {
 		m.cfg.OnBuild(r)
 	}
-	if r == nil || !m.uram.Install(r) {
+	ready := retC + uint64(m.cfg.BuildLatency)
+	if r == nil || !m.uram.Install(r, ready) {
 		if !rebuild {
 			m.pathCache.SetPromoted(id, false)
 		}
 		return
 	}
-	m.builderFreeAt = retC + uint64(m.cfg.BuildLatency)
-	m.routineReady.set(id, m.builderFreeAt)
+	m.builderFreeAt = ready
 	if rebuild {
 		m.res.Micro.Rebuilds++
 	} else {

@@ -47,9 +47,6 @@ type mctx struct {
 //
 //dpbp:speculative
 func (m *Machine) trySpawns(pc isa.Addr, seq uint64, fc uint64) {
-	if !m.uram.HasSpawn(pc) {
-		return // dense probe; skips the map lookup on the common path
-	}
 	cands := m.uram.SpawnCandidates(pc)
 	if len(cands) == 0 {
 		return
@@ -59,7 +56,7 @@ func (m *Machine) trySpawns(pc isa.Addr, seq uint64, fc uint64) {
 		return
 	}
 	for _, r := range cands {
-		if m.routineReady.get(r.PathID) > fc {
+		if m.uram.Ready(r.PathID) > fc {
 			continue // still being built
 		}
 		m.res.Micro.AttemptedSpawns++

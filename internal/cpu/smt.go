@@ -236,15 +236,12 @@ func (s *SMTMachine) RunContext(ctx context.Context, progs []*program.Program, c
 	}
 	if cfg.SMT.SharedMicroRAM {
 		// The shared spawn-point index must cover every context's code
-		// image, or spawn PCs beyond the lead program's length would
-		// probe out of bounds and silently miss.
+		// image, not just the lead program's.
 		maxCode := 0
 		for _, p := range progs {
-			if len(p.Code) > maxCode {
-				maxCode = len(p.Code)
-			}
+			maxCode = max(maxCode, len(p.Code))
 		}
-		lead.uram.IndexCode(maxCode)
+		lead.uram.Reset(maxCode)
 	}
 
 	states := make([]runState, k)

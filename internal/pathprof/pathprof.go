@@ -22,7 +22,7 @@ import (
 )
 
 // branchStats aggregates one static branch. Its counts share the uint32
-// width, and the MaxBudget bound, of pathEntry's.
+// width, and the MaxBudget bound, of pathStats'.
 type branchStats struct {
 	executions  uint32
 	mispredicts uint32
@@ -135,14 +135,14 @@ func RunContext(ctx context.Context, prog *program.Program, cfg Config) (*Profil
 		return nil, err
 	}
 	// A scope spans at most n regions of at most len(prog.Code)
-	// instructions each; pathEntry stores it as an int32.
+	// instructions each; pathStats stores it as an int32.
 	if uint64(len(prog.Code))*MaxN > math.MaxInt32 {
 		return nil, fmt.Errorf("pathprof: program %q too large to profile (%d instructions)", prog.Name, len(prog.Code))
 	}
 	cfg = cfg.Canonical()
 	dec := prog.Decoded()
 	branches := make([]branchStats, len(prog.Code))
-	tables := make([]pathTable, len(cfg.Ns))
+	tables := make([]path.Map[pathStats], len(cfg.Ns))
 	trackers := make([]*path.Tracker, len(cfg.Ns))
 	for i, n := range cfg.Ns {
 		trackers[i] = path.NewTracker(n)
@@ -178,7 +178,7 @@ func RunContext(ctx context.Context, prog *program.Program, cfg Config) (*Profil
 				if !tr.Full() {
 					continue
 				}
-				e := tables[i].entry(tr.ID(r.PC))
+				e := tables[i].Put(tr.ID(r.PC))
 				if e.occ == 0 {
 					e.scope = int32(tr.Scope(r.PC))
 				}
@@ -197,7 +197,7 @@ func RunContext(ctx context.Context, prog *program.Program, cfg Config) (*Profil
 	p := &Profile{Benchmark: prog.Name, Insts: insts, Branches: nBranches, Mispredicts: nMispredicts}
 	p.ByN = make([]*NProfile, len(tables))
 	for i := range tables {
-		p.ByN[i] = tables[i].retain(cfg.Ns[i])
+		p.ByN[i] = retain(&tables[i], cfg.Ns[i])
 	}
 	p.retainBranches(branches)
 	return p, nil

@@ -229,36 +229,39 @@ func TestMatchesReferenceModelRandom(t *testing.T) {
 	}
 }
 
-// TestPathTableGrowth inserts across several doublings and checks that
-// no entry is lost and no count changes.
+// TestPathTableGrowth upserts across several doublings of a path length's
+// table and checks that no entry is lost, no count changes, and retain
+// keeps exactly the paths that mispredicted.
 func TestPathTableGrowth(t *testing.T) {
-	var tab pathTable
-	const n = 20 * pathTableMinCap
+	var tab path.Map[pathStats]
+	const n = 20 << 10
 	for round := uint32(1); round <= 3; round++ {
 		for k := 0; k < n; k++ {
-			e := tab.entry(path.ID(k) * 0x100000001) // spread and collide in the low bits
+			e := tab.Put(path.ID(k) * 0x100000001) // spread and collide in the low bits
 			if e.occ == 0 {
 				e.scope = int32(k)
 			}
 			e.occ++
 			e.miss += uint32(k % 2)
 		}
-		if tab.n != n {
-			t.Fatalf("round %d: %d live entries, want %d", round, tab.n, n)
+		if tab.Len() != n {
+			t.Fatalf("round %d: %d live entries, want %d", round, tab.Len(), n)
 		}
 		for k := 0; k < n; k++ {
-			e := tab.entry(path.ID(k) * 0x100000001)
-			if e.occ != round || e.miss != round*uint32(k%2) || e.scope != int32(k) {
-				t.Fatalf("round %d: key %d = %+v", round, k, *e)
+			e := tab.Find(path.ID(k) * 0x100000001)
+			if e == nil || e.occ != round || e.miss != round*uint32(k%2) || e.scope != int32(k) {
+				t.Fatalf("round %d: key %d = %+v", round, k, e)
 			}
 		}
 	}
-	if len(tab.slots) < n*4/3 || len(tab.slots)&(len(tab.slots)-1) != 0 {
-		t.Errorf("%d slots for %d entries", len(tab.slots), n)
-	}
-	np := tab.retain(4)
+	np := retain(&tab, 4)
 	if np.unique != n || len(np.missed) != n/2 || cap(np.missed) != n/2 {
 		t.Errorf("retained %d unique, %d missed (cap %d); want %d, %d", np.unique, len(np.missed), cap(np.missed), n, n/2)
+	}
+	for _, e := range np.missed {
+		if e.miss != 3 || e.scope != int32(e.id/0x100000001) {
+			t.Fatalf("retained %+v", e)
+		}
 	}
 }
 

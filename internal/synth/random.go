@@ -89,17 +89,14 @@ func RandomProgram(spec RandSpec) *program.Program {
 	if spec.Units <= 0 {
 		spec.Units = 1
 	}
-	g := &rgen{
-		spec: spec,
-		b:    program.NewBuilder(spec.String()),
+	var included []int
+	for u := 0; u < spec.Units; u++ {
+		if !spec.Omitted(u) {
+			included = append(included, u)
+		}
 	}
-	prog := g.build()
-	prog.DataBase = DataBase
-	prog.StackBase = StackBase
-	if err := prog.Validate(); err != nil {
-		panic(fmt.Sprintf("synth: random program %v invalid: %v", spec, err))
-	}
-	return prog
+	g := &rgen{scaffold: scaffold{b: program.NewBuilder(spec.String())}, spec: spec}
+	return g.assemble(1<<20, len(included), func(i int) { g.emitUnit(included[i]) })
 }
 
 // Random-generator register convention. Units use a small fixed set so
@@ -120,24 +117,8 @@ const (
 
 // rgen carries whole-program generation state.
 type rgen struct {
-	spec    RandSpec
-	b       *program.Builder
-	data    []isa.Word
-	fixups  []dataFixup
-	nextLbl int
-}
-
-func (g *rgen) label(prefix string) string {
-	g.nextLbl++
-	return fmt.Sprintf("%s_%d", prefix, g.nextLbl)
-}
-
-func (g *rgen) allocData(n int, fill func(i int) isa.Word) isa.Addr {
-	base := DataBase + isa.Addr(len(g.data))
-	for i := 0; i < n; i++ {
-		g.data = append(g.data, fill(i))
-	}
-	return base
+	scaffold
+	spec RandSpec
 }
 
 // unitRNG returns the unit's private random stream. Seeding by (Seed,
@@ -145,50 +126,6 @@ func (g *rgen) allocData(n int, fill func(i int) isa.Word) isa.Addr {
 // the spec includes, which is what makes Omit-based shrinking meaningful.
 func (g *rgen) unitRNG(unit int) *rand.Rand {
 	return rand.New(rand.NewSource(g.spec.Seed*1_000_003 + int64(unit)*7919 + 1))
-}
-
-func (g *rgen) build() *program.Program {
-	b := g.b
-
-	b.Label("entry")
-	b.Emit(isa.Inst{Op: isa.OpLdi, Dst: isa.RSP, Imm: isa.Word(StackBase)})
-	b.Emit(isa.Inst{Op: isa.OpLdi, Dst: isa.RGP, Imm: isa.Word(DataBase)})
-	b.Emit(isa.Inst{Op: isa.OpLdi, Dst: regIter, Imm: 1 << 20})
-	b.Emit(isa.Inst{Op: isa.OpLdi, Dst: regPhase, Imm: 0})
-
-	var included []int
-	for u := 0; u < g.spec.Units; u++ {
-		if !g.spec.Omitted(u) {
-			included = append(included, u)
-		}
-	}
-
-	mainLoop := g.label("main")
-	b.Label(mainLoop)
-	unitLbls := make(map[int]string, len(included))
-	for _, u := range included {
-		unitLbls[u] = fmt.Sprintf("unit_%d", u)
-		b.EmitBranch(isa.Inst{Op: isa.OpCall}, unitLbls[u])
-	}
-	b.Emit(isa.Inst{Op: isa.OpAddi, Dst: regPhase, Src1: regPhase, Imm: 1})
-	b.Emit(isa.Inst{Op: isa.OpAddi, Dst: regIter, Src1: regIter, Imm: -1})
-	b.EmitBranch(isa.Inst{Op: isa.OpBnez, Src1: regIter}, mainLoop)
-
-	halt := g.label("halt")
-	b.Label(halt)
-	b.EmitBranch(isa.Inst{Op: isa.OpJmp}, halt)
-
-	for _, u := range included {
-		b.Label(unitLbls[u])
-		g.emitUnit(u)
-	}
-
-	prog := b.Finish()
-	for _, f := range g.fixups {
-		g.data[f.idx] = isa.Word(b.LabelAddr(f.label))
-	}
-	prog.Data = g.data
-	return prog
 }
 
 // runit is the per-unit generation state.
@@ -445,14 +382,7 @@ func (u *runit) emitSwitch() {
 	defer func() { u.depth-- }()
 
 	nCase := 2 << u.rng.Intn(2) // 2 or 4: index mask is exact
-	caseLbls := make([]string, nCase)
-	for i := range caseLbls {
-		caseLbls[i] = u.g.label("rcase")
-	}
-	tbl := u.g.allocData(nCase, func(int) isa.Word { return 0 })
-	for i := 0; i < nCase; i++ {
-		u.g.fixups = append(u.g.fixups, dataFixup{idx: int(tbl-DataBase) + i, label: caseLbls[i]})
-	}
+	tbl, caseLbls := u.g.jumpTable(nCase, "rcase")
 
 	join := u.g.label("rswj")
 	b.Emit(isa.Inst{Op: isa.OpAndi, Dst: randTmp, Src1: u.vreg(), Imm: isa.Word(nCase - 1)})

@@ -164,10 +164,10 @@ func Names() []string {
 	return names
 }
 
-// gen carries generation state.
-type gen struct {
-	p       Profile
-	rng     *rand.Rand
+// scaffold is the program frame both generators share: the builder, the
+// data image with its jump-table fixups, the label counter, and the
+// prologue/main-loop/halt frame around the generated bodies.
+type scaffold struct {
 	b       *program.Builder
 	data    []isa.Word
 	fixups  []dataFixup // jump-table entries patched to label addresses
@@ -179,38 +179,100 @@ type dataFixup struct {
 	label string
 }
 
-// Generate builds the program for a profile. The same profile always yields
-// the same program.
-func Generate(p Profile) *program.Program {
-	g := &gen{
-		p:   p,
-		rng: rand.New(rand.NewSource(p.Seed)),
-		b:   program.NewBuilder(p.Name),
-	}
-	prog := g.build()
-	prog.DataBase = DataBase
-	prog.Data = g.data
-	prog.StackBase = StackBase
-	if err := prog.Validate(); err != nil {
-		panic(fmt.Sprintf("synth: generated invalid program: %v", err))
-	}
-	return prog
-}
-
 // label returns a fresh unique label with a descriptive prefix.
-func (g *gen) label(prefix string) string {
-	g.nextLbl++
-	return fmt.Sprintf("%s_%d", prefix, g.nextLbl)
+func (s *scaffold) label(prefix string) string {
+	s.nextLbl++
+	return fmt.Sprintf("%s_%d", prefix, s.nextLbl)
 }
 
 // allocData reserves n words of data memory filled by fill and returns the
 // base address.
-func (g *gen) allocData(n int, fill func(i int) isa.Word) isa.Addr {
-	base := DataBase + isa.Addr(len(g.data))
+func (s *scaffold) allocData(n int, fill func(i int) isa.Word) isa.Addr {
+	base := DataBase + isa.Addr(len(s.data))
 	for i := 0; i < n; i++ {
-		g.data = append(g.data, fill(i))
+		s.data = append(s.data, fill(i))
 	}
 	return base
+}
+
+// jumpTable allocates an n-entry jump table in data memory, its entries
+// patched after Finish to the returned fresh labels (one per case).
+func (s *scaffold) jumpTable(n int, prefix string) (isa.Addr, []string) {
+	labels := make([]string, n)
+	for i := range labels {
+		labels[i] = s.label(prefix)
+	}
+	tbl := s.allocData(n, func(int) isa.Word { return 0 })
+	for i, l := range labels {
+		s.fixups = append(s.fixups, dataFixup{idx: int(tbl-DataBase) + i, label: l})
+	}
+	return tbl, labels
+}
+
+// assemble emits the whole program around n bodies: a prologue setting
+// the stack and global pointers and the main-loop registers, a main loop
+// calling every body once per iteration for iters iterations, the halt
+// idiom, then each body (emitted by body(i) after its label). It patches
+// the jump tables and returns the validated program.
+func (s *scaffold) assemble(iters isa.Word, n int, body func(i int)) *program.Program {
+	b := s.b
+	b.Label("entry")
+	b.Emit(isa.Inst{Op: isa.OpLdi, Dst: isa.RSP, Imm: isa.Word(StackBase)})
+	b.Emit(isa.Inst{Op: isa.OpLdi, Dst: isa.RGP, Imm: isa.Word(DataBase)})
+	b.Emit(isa.Inst{Op: isa.OpLdi, Dst: regIter, Imm: iters})
+	b.Emit(isa.Inst{Op: isa.OpLdi, Dst: regPhase, Imm: 0})
+
+	mainLoop := s.label("main")
+	b.Label(mainLoop)
+	labels := make([]string, n)
+	for i := range labels {
+		labels[i] = s.label("body")
+		b.EmitBranch(isa.Inst{Op: isa.OpCall}, labels[i])
+	}
+	b.Emit(isa.Inst{Op: isa.OpAddi, Dst: regPhase, Src1: regPhase, Imm: 1})
+	b.Emit(isa.Inst{Op: isa.OpAddi, Dst: regIter, Src1: regIter, Imm: -1})
+	b.EmitBranch(isa.Inst{Op: isa.OpBnez, Src1: regIter}, mainLoop)
+
+	// Halt: jump-to-self, recognised by the emulator.
+	halt := s.label("halt")
+	b.Label(halt)
+	b.EmitBranch(isa.Inst{Op: isa.OpJmp}, halt)
+
+	for i, l := range labels {
+		b.Label(l)
+		body(i)
+	}
+
+	prog := b.Finish()
+	for _, f := range s.fixups {
+		s.data[f.idx] = isa.Word(b.LabelAddr(f.label))
+	}
+	prog.DataBase = DataBase
+	prog.Data = s.data
+	prog.StackBase = StackBase
+	if err := prog.Validate(); err != nil {
+		panic(fmt.Sprintf("synth: generated invalid program %s: %v", prog.Name, err))
+	}
+	return prog
+}
+
+// gen carries benchmark generation state.
+type gen struct {
+	scaffold
+	p   Profile
+	rng *rand.Rand
+}
+
+// Generate builds the program for a profile. The same profile always yields
+// the same program.
+func Generate(p Profile) *program.Program {
+	g := &gen{
+		scaffold: scaffold{b: program.NewBuilder(p.Name)},
+		p:        p,
+		rng:      rand.New(rand.NewSource(p.Seed)),
+	}
+	kinds := g.chooseKinds()
+	return g.assemble(isa.Word(p.Iterations), len(kinds), func(i int) { g.emitKernel(kinds[i]) })
 }
 
 // randomWord returns a word whose low bits are independently 1 with
@@ -249,51 +311,6 @@ func (g *gen) loopLen() int {
 		n = 2
 	}
 	return n
-}
-
-// build assembles the whole program.
-func (g *gen) build() *program.Program {
-	b := g.b
-
-	// Choose kernel kinds by weighted mix.
-	kinds := g.chooseKinds()
-
-	// Prologue.
-	b.Label("entry")
-	b.Emit(isa.Inst{Op: isa.OpLdi, Dst: isa.RSP, Imm: isa.Word(StackBase)})
-	b.Emit(isa.Inst{Op: isa.OpLdi, Dst: isa.RGP, Imm: isa.Word(DataBase)})
-	b.Emit(isa.Inst{Op: isa.OpLdi, Dst: regIter, Imm: isa.Word(g.p.Iterations)})
-	b.Emit(isa.Inst{Op: isa.OpLdi, Dst: regPhase, Imm: 0})
-
-	mainLoop := g.label("main")
-	b.Label(mainLoop)
-	kernelLabels := make([]string, len(kinds))
-	for i := range kinds {
-		kernelLabels[i] = g.label("kern")
-		b.EmitBranch(isa.Inst{Op: isa.OpCall}, kernelLabels[i])
-	}
-	b.Emit(isa.Inst{Op: isa.OpAddi, Dst: regPhase, Src1: regPhase, Imm: 1})
-	b.Emit(isa.Inst{Op: isa.OpAddi, Dst: regIter, Src1: regIter, Imm: -1})
-	b.EmitBranch(isa.Inst{Op: isa.OpBnez, Src1: regIter}, mainLoop)
-
-	// Halt: jump-to-self, recognised by the emulator.
-	halt := g.label("halt")
-	b.Label(halt)
-	b.EmitBranch(isa.Inst{Op: isa.OpJmp}, halt)
-
-	// Kernel bodies.
-	for i, kind := range kinds {
-		b.Label(kernelLabels[i])
-		g.emitKernel(kind)
-	}
-
-	prog := b.Finish()
-	// Patch jump tables with resolved code addresses.
-	for _, f := range g.fixups {
-		g.data[f.idx] = isa.Word(b.LabelAddr(f.label))
-	}
-	prog.Data = g.data
-	return prog
 }
 
 // chooseKinds deals out Kernels kernel kinds according to the mix weights,
@@ -505,14 +522,7 @@ func (g *gen) emitSwitch() {
 	base := g.allocData(alen, func(int) isa.Word { return g.randomWord() })
 	const nCase = 4
 	// Jump table: nCase code addresses, patched after Finish.
-	caseLbls := make([]string, nCase)
-	for i := range caseLbls {
-		caseLbls[i] = g.label("case")
-	}
-	tbl := g.allocData(nCase, func(int) isa.Word { return 0 })
-	for i := 0; i < nCase; i++ {
-		g.fixups = append(g.fixups, dataFixup{idx: int(tbl-DataBase) + i, label: caseLbls[i]})
-	}
+	tbl, caseLbls := g.jumpTable(nCase, "case")
 	trip := g.loopLen()
 
 	ri, rv, rt, racc, ridx := r, r+1, r+2, r+3, r+4
@@ -658,14 +668,7 @@ func (g *gen) emitInterp() {
 	}
 	code := g.allocData(codeLen, func(int) isa.Word { return isa.Word(g.rng.Intn(nOp)) })
 	opnd := g.allocData(codeLen, func(int) isa.Word { return g.randomWord() })
-	caseLbls := make([]string, nOp)
-	for i := range caseLbls {
-		caseLbls[i] = g.label("handler")
-	}
-	tbl := g.allocData(nOp, func(int) isa.Word { return 0 })
-	for i := 0; i < nOp; i++ {
-		g.fixups = append(g.fixups, dataFixup{idx: int(tbl-DataBase) + i, label: caseLbls[i]})
-	}
+	tbl, caseLbls := g.jumpTable(nOp, "handler")
 	trip := g.loopLen() * 2
 
 	ri, rvp, rop, rod, rt, racc := r, r+1, r+2, r+3, r+4, r+5

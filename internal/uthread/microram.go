@@ -1,8 +1,6 @@
 package uthread
 
 import (
-	"sort"
-
 	"dpbp/internal/isa"
 	"dpbp/internal/path"
 )
@@ -12,113 +10,121 @@ import (
 // uses 8K). Install refuses when full; the Path Cache then leaves the
 // path unpromoted and retries later, by which time demotions may have
 // freed space.
+//
+// The MicroRAM is the one home of a path's routine state: the routine,
+// the cycle its build completes, and the rebuild flag live in one entry,
+// so every context sharing a MicroRAM sees the same readiness.
 type MicroRAM struct {
-	cap      int //dpbp:reset-skip capacity, fixed at construction
-	routines map[path.ID]*Routine
-	bySpawn  map[isa.Addr][]*Routine
-	rebuild  map[path.ID]bool
-	// spawnCnt, when indexed via IndexCode, counts routines per spawn PC
-	// so the fetch loop's per-instruction spawn probe is an array read
-	// instead of a map lookup.
-	spawnCnt []uint16
-
-	// Stats.
-	Installs uint64
-	Refusals uint64
-	Removals uint64
+	cap   int //dpbp:reset-skip capacity, fixed at construction
+	paths path.Map[ramEntry]
+	// bySpawn indexes routines by spawn PC over the code image, so the
+	// fetch loop's per-instruction spawn probe is one slice read. Each
+	// list is in install order.
+	bySpawn [][]*Routine
 }
 
-// NewMicroRAM returns a MicroRAM holding up to capacity routines.
-func NewMicroRAM(capacity int) *MicroRAM {
+// ramEntry is one path's routine state.
+type ramEntry struct {
+	r       *Routine
+	ready   uint64 // cycle the routine's build completes
+	rebuild bool
+}
+
+// NewMicroRAM returns a MicroRAM holding up to capacity routines whose
+// spawn points lie in a code image of codeLen addresses.
+func NewMicroRAM(capacity, codeLen int) *MicroRAM {
 	if capacity < 1 {
 		capacity = 1
 	}
-	return &MicroRAM{
-		cap:      capacity,
-		routines: make(map[path.ID]*Routine),
-		bySpawn:  make(map[isa.Addr][]*Routine),
-		rebuild:  make(map[path.ID]bool),
-	}
+	m := &MicroRAM{cap: capacity}
+	m.Reset(codeLen)
+	return m
 }
 
-// IndexCode sizes the dense spawn-point index for a program whose code
-// image spans n addresses. The SSMT core calls it once per run; spawn PCs
-// are code addresses, so the index covers every possible key.
-func (m *MicroRAM) IndexCode(n int) {
-	m.spawnCnt = make([]uint16, n)
-	for pc, list := range m.bySpawn { //dpbplint:ignore simdeterminism counter writes are keyed by pc, order-independent
-		m.spawnCnt[pc] = uint16(len(list))
+// Reset removes every routine and resizes the spawn index for a code
+// image of codeLen addresses, keeping allocations for reuse.
+func (m *MicroRAM) Reset(codeLen int) {
+	m.paths.Clear()
+	if cap(m.bySpawn) < codeLen {
+		m.bySpawn = make([][]*Routine, codeLen)
+		return
 	}
-}
-
-// HasSpawn reports whether any routine spawns at pc. Without an index it
-// is conservatively true; with one it is a single array read.
-func (m *MicroRAM) HasSpawn(pc isa.Addr) bool {
-	if m.spawnCnt == nil {
-		return true
+	m.bySpawn = m.bySpawn[:codeLen]
+	for pc, list := range m.bySpawn {
+		clear(list)
+		m.bySpawn[pc] = list[:0]
 	}
-	return int(pc) < len(m.spawnCnt) && m.spawnCnt[pc] > 0
 }
 
 // Len returns the number of stored routines.
-func (m *MicroRAM) Len() int { return len(m.routines) }
+func (m *MicroRAM) Len() int { return m.paths.Len() }
 
 // Cap returns the capacity.
 func (m *MicroRAM) Cap() int { return m.cap }
 
-// Install stores a routine, replacing any previous routine for the same
-// path. It reports whether the routine was accepted (false when full).
-func (m *MicroRAM) Install(r *Routine) bool {
-	if old, ok := m.routines[r.PathID]; ok {
-		m.removeSpawnIndex(old)
-	} else if len(m.routines) >= m.cap {
-		m.Refusals++
+// Install stores a routine whose build completes at cycle ready,
+// replacing any previous routine for the same path and clearing its
+// rebuild flag. It reports whether the routine was accepted (false when
+// full).
+func (m *MicroRAM) Install(r *Routine, ready uint64) bool {
+	e := m.paths.Find(r.PathID)
+	if e != nil {
+		m.unindex(e.r)
+	} else if m.paths.Len() >= m.cap {
 		return false
+	} else {
+		e = m.paths.Put(r.PathID)
 	}
-	m.routines[r.PathID] = r
+	*e = ramEntry{r: r, ready: ready}
 	m.bySpawn[r.SpawnPC] = append(m.bySpawn[r.SpawnPC], r)
-	if m.spawnCnt != nil && int(r.SpawnPC) < len(m.spawnCnt) {
-		m.spawnCnt[r.SpawnPC]++
-	}
-	delete(m.rebuild, r.PathID)
-	m.Installs++
 	return true
 }
 
 // Lookup returns the routine for a path, or nil.
-func (m *MicroRAM) Lookup(id path.ID) *Routine { return m.routines[id] }
+func (m *MicroRAM) Lookup(id path.ID) *Routine {
+	if e := m.paths.Find(id); e != nil {
+		return e.r
+	}
+	return nil
+}
 
-// SpawnCandidates returns the routines whose spawn point is pc. The
-// returned slice is owned by the MicroRAM; callers must not modify it.
-func (m *MicroRAM) SpawnCandidates(pc isa.Addr) []*Routine { return m.bySpawn[pc] }
+// Ready returns the cycle the path's routine build completes (0 when the
+// path has no routine).
+func (m *MicroRAM) Ready(id path.ID) uint64 {
+	if e := m.paths.Find(id); e != nil {
+		return e.ready
+	}
+	return 0
+}
+
+// SpawnCandidates returns the routines whose spawn point is pc, in
+// install order. The returned slice is owned by the MicroRAM; callers
+// must not modify it.
+func (m *MicroRAM) SpawnCandidates(pc isa.Addr) []*Routine {
+	if int(pc) < len(m.bySpawn) {
+		return m.bySpawn[pc]
+	}
+	return nil
+}
 
 // Remove deletes the routine for a path (demotion).
 func (m *MicroRAM) Remove(id path.ID) {
-	r, ok := m.routines[id]
-	if !ok {
-		return
+	if e := m.paths.Find(id); e != nil {
+		m.unindex(e.r)
+		m.paths.Delete(id)
 	}
-	m.removeSpawnIndex(r)
-	delete(m.routines, id)
-	delete(m.rebuild, id)
-	m.Removals++
 }
 
-func (m *MicroRAM) removeSpawnIndex(r *Routine) {
-	if m.spawnCnt != nil && int(r.SpawnPC) < len(m.spawnCnt) {
-		m.spawnCnt[r.SpawnPC]--
-	}
+// unindex drops r from its spawn PC's list, keeping the others' order.
+func (m *MicroRAM) unindex(r *Routine) {
 	list := m.bySpawn[r.SpawnPC]
 	for i, x := range list {
 		if x == r {
-			list = append(list[:i], list[i+1:]...)
-			break
+			copy(list[i:], list[i+1:])
+			list[len(list)-1] = nil
+			m.bySpawn[r.SpawnPC] = list[:len(list)-1]
+			return
 		}
-	}
-	if len(list) == 0 {
-		delete(m.bySpawn, r.SpawnPC)
-	} else {
-		m.bySpawn[r.SpawnPC] = list
 	}
 }
 
@@ -126,28 +132,17 @@ func (m *MicroRAM) removeSpawnIndex(r *Routine) {
 // violation (Section 4.2.4). The SSMT core rebuilds it the next time the
 // path's terminating branch retires.
 func (m *MicroRAM) MarkRebuild(id path.ID) {
-	if _, ok := m.routines[id]; ok {
-		m.rebuild[id] = true
+	if e := m.paths.Find(id); e != nil {
+		e.rebuild = true
 	}
 }
 
 // NeedsRebuild reports and clears the rebuild flag for a path.
 func (m *MicroRAM) NeedsRebuild(id path.ID) bool {
-	if m.rebuild[id] {
-		delete(m.rebuild, id)
-		return true
+	e := m.paths.Find(id)
+	if e == nil || !e.rebuild {
+		return false
 	}
-	return false
-}
-
-// Routines returns all stored routines in Path_Id order, for statistics
-// (Figure 8). The explicit order keeps every consumer — averages over
-// floats, rendered listings — bit-identical across runs.
-func (m *MicroRAM) Routines() []*Routine {
-	out := make([]*Routine, 0, len(m.routines))
-	for _, r := range m.routines { //dpbplint:ignore simdeterminism collection is sorted by PathID below
-		out = append(out, r)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].PathID < out[j].PathID })
-	return out
+	e.rebuild = false
+	return true
 }

@@ -19,65 +19,72 @@ func routineFor(id path.ID, spawn isa.Addr) *Routine {
 }
 
 func TestMicroRAMInstallLookupRemove(t *testing.T) {
-	m := NewMicroRAM(4)
+	m := NewMicroRAM(4, 128)
 	r := routineFor(1, 100)
-	if !m.Install(r) {
+	if !m.Install(r, 7) {
 		t.Fatal("install refused with space available")
 	}
-	if m.Lookup(1) != r {
-		t.Error("lookup failed")
+	if m.Lookup(1) != r || m.Ready(1) != 7 {
+		t.Errorf("lookup = %p ready %d, want %p ready 7", m.Lookup(1), m.Ready(1), r)
 	}
 	if m.Len() != 1 || m.Cap() != 4 {
 		t.Errorf("len/cap = %d/%d", m.Len(), m.Cap())
 	}
 	m.Remove(1)
-	if m.Lookup(1) != nil {
+	if m.Lookup(1) != nil || m.Ready(1) != 0 || m.Len() != 0 {
 		t.Error("routine survived removal")
 	}
-	if m.Removals != 1 {
-		t.Errorf("Removals = %d", m.Removals)
-	}
 	m.Remove(1) // no-op
-	if m.Removals != 1 {
-		t.Error("double-remove counted")
+	if m.Len() != 0 {
+		t.Error("double-remove changed the MicroRAM")
 	}
 }
 
 func TestMicroRAMRefusesWhenFull(t *testing.T) {
-	m := NewMicroRAM(2)
-	m.Install(routineFor(1, 10))
-	m.Install(routineFor(2, 20))
-	if m.Install(routineFor(3, 30)) {
+	m := NewMicroRAM(2, 64)
+	m.Install(routineFor(1, 10), 0)
+	m.Install(routineFor(2, 20), 0)
+	if m.Install(routineFor(3, 30), 0) {
 		t.Fatal("install accepted beyond capacity")
 	}
-	if m.Refusals != 1 {
-		t.Errorf("Refusals = %d", m.Refusals)
+	if m.Lookup(3) != nil || len(m.SpawnCandidates(30)) != 0 {
+		t.Error("refused routine was stored")
 	}
-	// Replacing an existing path is allowed even at capacity.
-	if !m.Install(routineFor(2, 25)) {
+	// Replacing an existing path is allowed even at capacity, and takes
+	// the new routine's ready cycle.
+	if !m.Install(routineFor(2, 25), 9) {
 		t.Error("replacement refused at capacity")
 	}
-	if got := m.Lookup(2); got == nil || got.SpawnPC != 25 {
+	if got := m.Lookup(2); got == nil || got.SpawnPC != 25 || m.Ready(2) != 9 {
 		t.Error("replacement did not take effect")
 	}
 }
 
 func TestMicroRAMSpawnIndex(t *testing.T) {
-	m := NewMicroRAM(8)
+	m := NewMicroRAM(8, 100)
 	a := routineFor(1, 50)
 	b := routineFor(2, 50) // same spawn PC, different path
 	c := routineFor(3, 60)
-	m.Install(a)
-	m.Install(b)
-	m.Install(c)
-	if got := m.SpawnCandidates(50); len(got) != 2 {
-		t.Fatalf("candidates at 50 = %d, want 2", len(got))
+	m.Install(a, 0)
+	m.Install(b, 0)
+	m.Install(c, 0)
+	if got := m.SpawnCandidates(50); len(got) != 2 || got[0] != a || got[1] != b {
+		t.Fatalf("candidates at 50 = %v, want [a b] in install order", got)
 	}
 	if got := m.SpawnCandidates(60); len(got) != 1 || got[0] != c {
 		t.Errorf("candidates at 60 wrong")
 	}
-	if got := m.SpawnCandidates(99); got != nil {
+	if got := m.SpawnCandidates(99); len(got) != 0 {
 		t.Errorf("candidates at 99 = %v, want none", got)
+	}
+	if got := m.SpawnCandidates(1000); got != nil {
+		t.Errorf("candidates beyond the code image = %v, want none", got)
+	}
+	// Reinstalling a path moves its routine to the end of its list.
+	a2 := routineFor(1, 50)
+	m.Install(a2, 0)
+	if got := m.SpawnCandidates(50); len(got) != 2 || got[0] != b || got[1] != a2 {
+		t.Errorf("reinstall order = %v, want [b a2]", got)
 	}
 	// Removal updates the index.
 	m.Remove(1)
@@ -86,7 +93,7 @@ func TestMicroRAMSpawnIndex(t *testing.T) {
 	}
 	// Replacement with a different spawn PC moves the index entry.
 	b2 := routineFor(2, 70)
-	m.Install(b2)
+	m.Install(b2, 0)
 	if got := m.SpawnCandidates(50); len(got) != 0 {
 		t.Errorf("old spawn index entry survived replacement: %v", got)
 	}
@@ -96,8 +103,8 @@ func TestMicroRAMSpawnIndex(t *testing.T) {
 }
 
 func TestMicroRAMRebuildFlag(t *testing.T) {
-	m := NewMicroRAM(4)
-	m.Install(routineFor(1, 10))
+	m := NewMicroRAM(4, 64)
+	m.Install(routineFor(1, 10), 0)
 	if m.NeedsRebuild(1) {
 		t.Error("fresh routine flagged for rebuild")
 	}
@@ -115,18 +122,37 @@ func TestMicroRAMRebuildFlag(t *testing.T) {
 	}
 	// Reinstalling clears a pending flag.
 	m.MarkRebuild(1)
-	m.Install(routineFor(1, 11))
+	m.Install(routineFor(1, 11), 0)
 	if m.NeedsRebuild(1) {
 		t.Error("install did not clear the rebuild flag")
 	}
+	// Removal drops a pending flag with the routine.
+	m.MarkRebuild(1)
+	m.Remove(1)
+	m.Install(routineFor(1, 11), 0)
+	if m.NeedsRebuild(1) {
+		t.Error("rebuild flag survived removal")
+	}
 }
 
-func TestMicroRAMRoutines(t *testing.T) {
-	m := NewMicroRAM(4)
-	m.Install(routineFor(1, 10))
-	m.Install(routineFor(2, 20))
-	if got := m.Routines(); len(got) != 2 {
-		t.Errorf("Routines() = %d entries", len(got))
+// TestResetDropsSpawnIndex checks that Reset empties the spawn index and
+// resizes it for the next program's code image, so no routine of the
+// previous run can spawn and every address of the new image is indexed.
+func TestResetDropsSpawnIndex(t *testing.T) {
+	m := NewMicroRAM(4, 8)
+	if !m.Install(routineFor(1, 2), 0) {
+		t.Fatal("install refused with free capacity")
+	}
+	m.Reset(4)
+	if m.Len() != 0 || m.Lookup(1) != nil {
+		t.Fatalf("routines survived Reset: %d", m.Len())
+	}
+	if got := m.SpawnCandidates(2); len(got) != 0 {
+		t.Fatalf("stale spawn index survived Reset: %v", got)
+	}
+	m.Reset(16)
+	if !m.Install(routineFor(2, 15), 0) || len(m.SpawnCandidates(15)) != 1 {
+		t.Fatal("index not resized for a larger code image")
 	}
 }
 
